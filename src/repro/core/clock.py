@@ -47,6 +47,10 @@ class DilatedClock(Clock):
     ) -> None:
         self.sim = sim
         self._tdf = as_tdf(tdf)
+        #: ``float(tdf)`` of the current epoch. Every ``now`` and every
+        #: relative deadline uses it, so it is converted once per epoch
+        #: rather than from the Fraction on each call.
+        self._rate = float(self._tdf)
         self._physical_epoch = sim.now
         self._virtual_epoch = virtual_origin
         #: History of (physical_time, virtual_time, tdf) anchors, newest last.
@@ -68,8 +72,15 @@ class DilatedClock(Clock):
         return self._tdf
 
     def now(self) -> float:
-        """Current virtual time."""
-        return self.to_local(self.sim.now)
+        """Current virtual time.
+
+        Physical time never runs backwards and every epoch is anchored at
+        the instant it began, so the newest epoch is always the one in
+        effect: this is :meth:`to_local` of ``sim.now`` without the epoch
+        search, with the same float operations in the same order.
+        """
+        return (self._virtual_epoch
+                + (self.sim.now - self._physical_epoch) / self._rate)
 
     def to_local(self, physical_time: float) -> float:
         """Map physical → virtual using the epoch in effect at that instant."""
@@ -121,10 +132,9 @@ class DilatedClock(Clock):
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn`` after ``delay`` *virtual* seconds."""
-        if delay < 0:
-            raise SchedulingError(f"negative virtual delay: {delay}")
-        physical_delay = self._tdf.virtual_to_physical(delay)
-        return self.sim.schedule(physical_delay, fn)
+        if not delay >= 0:  # also refuses NaN
+            raise SchedulingError(f"negative or NaN virtual delay: {delay}")
+        return self.sim.schedule(delay * self._rate, fn)
 
     def call_at(self, when: float, fn: Callable[[], None]) -> Event:
         """Run ``fn`` at absolute *virtual* time ``when``."""
@@ -138,10 +148,9 @@ class DilatedClock(Clock):
         fires at the bit-identical physical instant a cancel-and-recreate
         would have — the determinism contract of the fast path.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative virtual delay: {delay}")
-        physical_delay = self._tdf.virtual_to_physical(delay)
-        event.reschedule(self.sim.now + physical_delay)
+        if not delay >= 0:  # also refuses NaN
+            raise SchedulingError(f"negative or NaN virtual delay: {delay}")
+        event.reschedule(self.sim.now + delay * self._rate)
         return event
 
     # ------------------------------------------------------------- dynamic TDF
@@ -164,6 +173,7 @@ class DilatedClock(Clock):
         self._physical_epoch = now_physical
         self._virtual_epoch = now_virtual
         self._tdf = new_tdf
+        self._rate = float(new_tdf)
         self._epochs.append((now_physical, now_virtual, new_tdf))
         if self.recorder is not None:
             self.recorder.record_epoch(

@@ -26,7 +26,7 @@ TdfLike = Union["TDF", int, float, str, Fraction]
 class TDF:
     """An immutable, exact time dilation factor."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_float")
 
     def __init__(self, value: TdfLike) -> None:
         if isinstance(value, TDF):
@@ -46,6 +46,9 @@ class TDF:
         if fraction <= 0:
             raise ConfigurationError(f"TDF must be positive, got {fraction}")
         object.__setattr__(self, "_value", fraction)
+        # Converting a Fraction costs a Python-level call; every scaling
+        # below reuses this one conversion.
+        object.__setattr__(self, "_float", float(fraction))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TDF is immutable")
@@ -56,19 +59,19 @@ class TDF:
         return self._value
 
     def __float__(self) -> float:
-        return float(self._value)
+        return self._float
 
     def virtual_to_physical(self, duration: float) -> float:
         """A virtual duration expressed in physical seconds (``d * k``)."""
-        return duration * float(self._value)
+        return duration * self._float
 
     def physical_to_virtual(self, duration: float) -> float:
         """A physical duration expressed in virtual seconds (``d / k``)."""
-        return duration / float(self._value)
+        return duration / self._float
 
     def scale_rate(self, physical_rate: float) -> float:
         """The perceived rate for a physical per-second rate (``r * k``)."""
-        return physical_rate * float(self._value)
+        return physical_rate * self._float
 
     def is_identity(self) -> bool:
         """True for TDF 1 (no dilation)."""
@@ -80,7 +83,7 @@ class TDF:
         if isinstance(other, (int, Fraction)):
             return self._value == other
         if isinstance(other, float):
-            return float(self._value) == other
+            return self._float == other
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -63,8 +63,8 @@ class Clock(abc.ABC):
         same callback, including tie-breaking order, but without the Event
         and closure allocations. Works on fired and cancelled events too.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative timer delay: {delay}")
+        if not delay >= 0:  # also refuses NaN
+            raise SchedulingError(f"negative or NaN timer delay: {delay}")
         event.reschedule(self.to_physical(self.now() + delay))
         return event
 

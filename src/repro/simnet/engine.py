@@ -147,7 +147,7 @@ class Event:
         explicit ``tie_key`` was assigned, which is preserved verbatim.
         """
         sim = self._sim
-        if time < sim._now:
+        if not time >= sim._now:  # also refuses NaN
             raise SchedulingError(
                 f"cannot reschedule at {time}; current time is {sim._now}"
             )
@@ -241,8 +241,8 @@ class Simulator:
         callback's arguments positionally (instead of binding them in a
         lambda) avoids a closure allocation on hot paths.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if not delay >= 0:  # also refuses NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         return self.call_at(self._now + delay, fn, *args)
 
     def call_at(
@@ -264,7 +264,7 @@ class Simulator:
         key is sticky across :meth:`Event.reschedule`. Must not exceed
         ``time`` — an event cannot outrank its own scheduling instant.
         """
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN
             raise SchedulingError(
                 f"cannot schedule at {time}; current time is {self._now}"
             )
@@ -274,9 +274,9 @@ class Simulator:
             event = Event(time, seq, fn, args, self)
             rank = self._now
         else:
-            if tie_key > time:
+            if not tie_key <= time:
                 raise SchedulingError(
-                    f"tie_key {tie_key} is later than event time {time}"
+                    f"tie_key {tie_key} is NaN or later than event time {time}"
                 )
             event = Event(time, seq, fn, args, self, tie_key)
             rank = tie_key
@@ -298,8 +298,8 @@ class Simulator:
         objects. No handle is returned — transient events cannot be
         cancelled or rescheduled.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if not delay >= 0:  # also refuses NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -334,7 +334,7 @@ class Simulator:
         a delay-form transient, so ``schedule_transient_at(now + d)``
         and ``schedule_transient(d)`` produce bit-identical heap entries.
         """
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN
             raise SchedulingError(
                 f"cannot schedule at {time}; current time is {self._now}"
             )

@@ -52,6 +52,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from ..tcp.segment import segment_wire_bytes
 from .packet import IP_HEADER_BYTES
 
 __all__ = ["FluidManager", "FluidFlow"]
@@ -114,16 +115,6 @@ EXIT_MARGIN_PKTS = 4
 #: RTO cascade) natively.
 WAVE_EXIT_MSS = 8.0
 
-_TCP_HEADER_BYTES = 20
-_TIMESTAMP_OPTION_BYTES = 12
-
-
-def _segment_wire_bytes(options, payload: int) -> int:
-    """Wire bytes of one segment under ``options`` (IP + TCP + payload)."""
-    option_bytes = _TIMESTAMP_OPTION_BYTES if options.timestamps else 0
-    return IP_HEADER_BYTES + _TCP_HEADER_BYTES + option_bytes + payload
-
-
 def _path_constants(options, fwd: List, rev: List):
     """Wire sizes, physical base RTT and bottleneck of a traced path.
 
@@ -132,8 +123,14 @@ def _path_constants(options, fwd: List, rev: List):
     TDF-invariant, so overflow geometry can be computed without the local
     clock's scale.
     """
-    data_wire = _segment_wire_bytes(options, options.mss)
-    ack_wire = _segment_wire_bytes(options, 0)
+    # Steady-state segments carry no SACK blocks: the fluid model holds
+    # only loss-free flows.
+    data_wire = IP_HEADER_BYTES + segment_wire_bytes(
+        options.mss, timestamps=options.timestamps
+    )
+    ack_wire = IP_HEADER_BYTES + segment_wire_bytes(
+        0, timestamps=options.timestamps
+    )
     base_phys = 0.0
     bottleneck = fwd[0]
     for iface in fwd:

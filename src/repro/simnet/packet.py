@@ -64,7 +64,7 @@ class Packet:
     #: Set by a Corrupt impairment stage; the receiving transport's
     #: checksum validation discards flagged packets.
     corrupted: bool = False
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

@@ -51,11 +51,23 @@ class SendBuffer:
         Called for every (re)transmission covering that range, so a lost
         segment's markers are re-attached to the retransmission.
         """
-        return [(off, msg) for off, msg in self._markers if start < off <= end]
+        markers = self._markers
+        if not markers:
+            return []
+        return [(off, msg) for off, msg in markers if start < off <= end]
 
     def release_through(self, offset: int) -> None:
         """Drop markers fully acknowledged at stream ``offset``."""
-        self._markers = [(off, msg) for off, msg in self._markers if off > offset]
+        markers = self._markers
+        # Offsets are strictly increasing (each write ends beyond the
+        # last), so the acknowledged markers are a prefix of the list.
+        released = 0
+        for off, _ in markers:
+            if off > offset:
+                break
+            released += 1
+        if released:
+            del markers[:released]
 
     @property
     def pending_markers(self) -> int:
@@ -149,23 +161,26 @@ class ReceiveAssembler:
 
     def _advance(self, end: int) -> None:
         new_next = max(self.rcv_nxt, end)
-        merged = True
-        while merged:
-            merged = False
-            for index, (start, stop) in enumerate(self._ooo):
-                if start <= new_next:
-                    new_next = max(new_next, stop)
-                    del self._ooo[index]
-                    merged = True
+        ooo = self._ooo
+        if ooo and ooo[0][0] <= new_next:
+            # The held ranges are sorted and disjoint, so the ones the new
+            # in-order point reaches are a prefix of the list.
+            absorbed = 0
+            for start, stop in ooo:
+                if start > new_next:
                     break
-        survivors = set(self._ooo)
-        self._recent = [iv for iv in self._recent if iv in survivors]
+                new_next = max(new_next, stop)
+                absorbed += 1
+            del ooo[:absorbed]
+            survivors = set(ooo)
+            self._recent = [iv for iv in self._recent if iv in survivors]
         delivered = new_next - self.rcv_nxt
         self.rcv_nxt = new_next
         self.bytes_delivered += delivered
         if delivered > 0 and self.on_data is not None:
             self.on_data(delivered)
-        self._deliver_messages()
+        if self._pending_messages:
+            self._deliver_messages()
 
     def _insert_ooo(self, start: int, end: int) -> None:
         if end - start > self.window() + self.out_of_order_bytes:

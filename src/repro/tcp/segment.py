@@ -15,15 +15,35 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, List, Tuple
 
-__all__ = ["Segment", "TCP_HEADER_BYTES"]
+__all__ = ["Segment", "TCP_HEADER_BYTES", "segment_wire_bytes"]
 
 #: Nominal TCP header size (no options), charged on every segment.
 TCP_HEADER_BYTES = 20
 
+#: The timestamps option's canonical size (10 bytes + 2 of padding).
+TIMESTAMP_OPTION_BYTES = 12
+
 _segment_ids = itertools.count(1)
 
 
-@dataclass
+def segment_wire_bytes(length: int, sack_blocks: int = 0,
+                       timestamps: bool = False) -> int:
+    """Bytes a segment occupies inside the IP payload.
+
+    The TCP header plus options plus ``length`` payload bytes. SACK blocks
+    are charged as the real option is (2 + 8 per block); the timestamps
+    option costs :data:`TIMESTAMP_OPTION_BYTES`. Every size the stack puts
+    on the wire, and every size the fluid model predicts, comes from here.
+    """
+    size = TCP_HEADER_BYTES + length
+    if sack_blocks:
+        size += 2 + 8 * sack_blocks
+    if timestamps:
+        size += TIMESTAMP_OPTION_BYTES
+    return size
+
+
+@dataclass(slots=True)
 class Segment:
     """One TCP segment.
 
@@ -67,7 +87,7 @@ class Segment:
     #: connection does not use timestamps.
     ts_val: "float | None" = None
     ts_ecr: "float | None" = None
-    uid: int = field(default_factory=lambda: next(_segment_ids))
+    uid: int = field(default_factory=_segment_ids.__next__)
 
     @property
     def seq_space(self) -> int:
@@ -81,15 +101,9 @@ class Segment:
 
     @property
     def wire_bytes(self) -> int:
-        """Bytes this segment occupies inside the IP payload.
-
-        SACK blocks are charged as the real option is (2 + 8 per block);
-        the timestamps option costs its canonical 12 bytes (10 + padding).
-        """
-        option_bytes = 2 + 8 * len(self.sack) if self.sack else 0
-        if self.ts_val is not None:
-            option_bytes += 12
-        return TCP_HEADER_BYTES + option_bytes + self.length
+        """Bytes this segment occupies inside the IP payload."""
+        return segment_wire_bytes(self.length, len(self.sack),
+                                  self.ts_val is not None)
 
     def flags(self) -> str:
         """Human-readable flag string, tcpdump style."""

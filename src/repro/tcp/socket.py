@@ -29,12 +29,12 @@ from typing import Any, Callable, Optional
 from ..simnet.engine import Event
 from ..simnet.errors import ProtocolError
 from ..simnet.node import Node
-from ..simnet.packet import IP_HEADER_BYTES, Packet
+from ..simnet.packet import DEFAULT_TTL, IP_HEADER_BYTES, Packet
 from .buffers import ReceiveAssembler, SendBuffer
 from .cc import make_congestion_control
 from .options import TcpOptions
 from .rtt import RttEstimator
-from .segment import Segment
+from .segment import Segment, segment_wire_bytes
 
 __all__ = ["TcpSocket", "CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD",
            "ESTABLISHED", "FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT",
@@ -359,7 +359,7 @@ class TcpSocket:
                 src_port=self.local_port, dst_port=self.remote_port,
                 seq=self.snd_nxt, rst=True, ack_flag=True,
                 ack=self._rcv_ack_value(), window=self.assembler.window(),
-            ))
+            ), segment_wire_bytes(0))
         self._abort(ProtocolError("aborted locally"), notify=False)
 
     @property
@@ -379,57 +379,66 @@ class TcpSocket:
             # The fluid fast path owns (or is draining) this flow; it will
             # hand the window back and call us when packet mode resumes.
             return
+        # Nothing below calls back into the application (sends are
+        # scheduled, never delivered synchronously), so the congestion
+        # controller, the options and the stream length are fixed for the
+        # whole loop. Stream offset = seq - 1 (see _stream_offset).
+        cc = self.cc
+        mss = self.options.mss
+        nagle = self.options.nagle
+        stream_end = self.send_buffer.stream_length + 1
         sent_any = False
         while True:
-            window = min(self.cc.cwnd, self.snd_wnd)
+            window = min(cc.cwnd, self.snd_wnd)
             if self._pace_window is not None:
                 window = min(window, self._pace_window)
-            if self._dupacks in (1, 2) and not self._in_recovery:
+            dupacks = self._dupacks
+            if (dupacks == 1 or dupacks == 2) and not self._in_recovery:
                 # Limited transmit (RFC 3042): the two early dupacks let us
                 # send one new segment each to keep the ACK clock running.
-                window += self._dupacks * self.mss
-            usable = int(window) - self.flight_size
-            offset = self._stream_offset(self.snd_nxt)
-            available = self.send_buffer.available_from(offset)
+                window += dupacks * mss
+            snd_nxt = self.snd_nxt
+            flight = snd_nxt - self.snd_una
+            available = stream_end - snd_nxt
             if available > 0:
+                usable = int(window) - flight
                 if usable <= 0:
                     break
-                chunk = min(available, self.mss, usable)
-                if self.options.nagle and chunk < self.mss and self.flight_size > 0:
+                chunk = min(available, mss, usable)
+                if nagle and chunk < mss and flight > 0:
                     break
-                self._emit_data(self.snd_nxt, chunk)
-                self.snd_nxt += chunk
+                self._emit_data(snd_nxt, chunk)
+                self.snd_nxt = snd_nxt + chunk
                 sent_any = True
                 continue
             if (
                 self._fin_pending
                 and not self._fin_sent
-                and self.snd_nxt == self._fin_seq()
+                and snd_nxt == stream_end
                 # Our FIN is all that's left; window always admits it.
             ):
-                self._emit(seq=self.snd_nxt, fin=True, ack_flag=True)
+                self._emit(seq=snd_nxt, fin=True, ack_flag=True)
                 self._fin_sent = True
-                self.snd_nxt += 1
+                self.snd_nxt = snd_nxt + 1
                 sent_any = True
             break
         if sent_any:
             self._arm_rto()
         elif (
             self.snd_wnd == 0
-            and self.send_buffer.available_from(self._stream_offset(self.snd_nxt)) > 0
-            and self.flight_size == 0
+            and stream_end > self.snd_nxt
+            and self.snd_nxt == self.snd_una
         ):
             self._arm_persist()
 
     def _emit_data(self, seq: int, length: int, retransmission: bool = False) -> None:
-        offset = self._stream_offset(seq)
+        offset = seq - 1  # _stream_offset, inlined on the per-segment path
         markers = self.send_buffer.markers_in(offset, offset + length)
         retransmission = retransmission or seq < self._high_water
-        self._emit(seq=seq, length=length, messages=markers, ack_flag=True,
-                   retransmission=retransmission)
+        self._emit(seq, length, False, False, True, markers, retransmission)
         if not retransmission and self._timed_seq is None:
             self._timed_seq = seq + length
-            self._timed_at = self.clock.now()
+            self._timed_at = self.node.clock.now()
 
     def _emit(
         self,
@@ -441,32 +450,38 @@ class TcpSocket:
         messages: Optional[list] = None,
         retransmission: bool = False,
     ) -> None:
+        options = self.options
+        assembler = self.assembler
         sack_blocks = ()
-        if ack_flag and self.options.sack and not syn:
+        if ack_flag and assembler._ooo and options.sack and not syn:
             # Out-of-order stream ranges, shifted into sequence space.
             sack_blocks = tuple(
-                (lo + 1, hi + 1) for lo, hi in self.assembler.sack_blocks()
+                (lo + 1, hi + 1) for lo, hi in assembler.sack_blocks()
             )
         cwr = False
-        if self.options.ecn and self._cwr_pending and length > 0:
+        if length > 0 and self._cwr_pending and options.ecn:
             cwr = True
             self._cwr_pending = False
+        timestamps = options.timestamps
+        # Positional in field order: matching sixteen keywords would cost
+        # as much again as building the segment.
         segment = Segment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=seq,
-            ack=self._rcv_ack_value() if ack_flag else 0,
-            ack_flag=ack_flag,
-            syn=syn,
-            fin=fin,
-            length=length,
-            window=self.assembler.window(),
-            messages=messages or [],
-            sack=sack_blocks,
-            ece=self.options.ecn and self._ecn_echo and ack_flag,
-            cwr=cwr,
-            ts_val=self.clock.now() if self.options.timestamps else None,
-            ts_ecr=self._ts_recent if self.options.timestamps else None,
+            self.local_port,                                    # src_port
+            self.remote_port,                                   # dst_port
+            seq,                                                # seq
+            self._rcv_ack_value() if ack_flag else 0,           # ack
+            length,                                             # length
+            syn,                                                # syn
+            fin,                                                # fin
+            False,                                              # rst
+            ack_flag,                                           # ack_flag
+            assembler.window(),                                 # window
+            messages if messages is not None else [],           # messages
+            sack_blocks,                                        # sack
+            options.ecn and self._ecn_echo and ack_flag,        # ece
+            cwr,                                                # cwr
+            self.node.clock.now() if timestamps else None,      # ts_val
+            self._ts_recent if timestamps else None,            # ts_ecr
         )
         if retransmission:
             self.retransmits += 1
@@ -480,26 +495,35 @@ class TcpSocket:
                 )
             if self._timed_seq is not None and seq < self._timed_seq <= seq + max(length, 1):
                 self._timed_seq = None  # Karn: never sample a retransmission
-        self._high_water = max(self._high_water, segment.end_seq)
-        self._emit_raw(segment)
+        end_seq = seq + length + syn + fin  # Segment.end_seq, inlined
+        if end_seq > self._high_water:
+            self._high_water = end_seq
+        self._emit_raw(
+            segment, segment_wire_bytes(length, len(sack_blocks), timestamps)
+        )
         # Any segment carrying our current ACK satisfies the delayed-ACK duty.
         if ack_flag:
             self._ack_sent()
 
-    def _emit_raw(self, segment: Segment) -> None:
+    def _emit_raw(self, segment: Segment, wire_bytes: int) -> None:
+        """Send ``segment``, which occupies ``wire_bytes`` of IP payload."""
+        node = self.node
+        # Positional in field order, as in _emit.
         packet = Packet(
-            src=self.node.name,
-            dst=self.remote_addr,
-            protocol="tcp",
-            size_bytes=IP_HEADER_BYTES + segment.wire_bytes,
-            payload=segment,
-            flow_id=self.flow_id,
+            node.name,                                          # src
+            self.remote_addr,                                   # dst
+            "tcp",                                              # protocol
+            IP_HEADER_BYTES + wire_bytes,                       # size_bytes
+            segment,                                            # payload
+            self.flow_id,                                       # flow_id
+            DEFAULT_TTL,                                        # ttl
+            0.0,                                                # created_at
             # Only data packets are marked ECN-capable (RFC 3168 §6.1.1:
             # pure ACKs are not ECT).
-            ecn_capable=self.options.ecn and segment.length > 0,
+            self.options.ecn and segment.length > 0,            # ecn_capable
         )
         self.segments_sent += 1
-        self.node.send(packet)
+        node.send(packet)
 
     # ============================================================== timers: RTO
 
@@ -510,9 +534,9 @@ class TcpSocket:
         # dead Events) on bulk transfers.
         event = self._rto_event
         if event is not None:
-            self.clock.reschedule_in(event, self.rtt.rto)
+            self.node.clock.reschedule_in(event, self.rtt.rto)
         else:
-            self._rto_event = self.clock.call_in(self.rtt.rto, self._on_rto)
+            self._rto_event = self.node.clock.call_in(self.rtt.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
         # Keep the Event: reschedule() revives a cancelled or fired entry
@@ -726,11 +750,11 @@ class TcpSocket:
             return
         event = self._delack_event
         if event is None:
-            self._delack_event = self.clock.call_in(
+            self._delack_event = self.node.clock.call_in(
                 self.options.delayed_ack_timeout, self._on_delack
             )
         elif not event.active:
-            self.clock.reschedule_in(event, self.options.delayed_ack_timeout)
+            self.node.clock.reschedule_in(event, self.options.delayed_ack_timeout)
         # else: a delayed ACK is already pending; leave its deadline alone.
 
     def _on_delack(self) -> None:
@@ -762,14 +786,7 @@ class TcpSocket:
             if self.state != CLOSED:
                 self._abort(ProtocolError("connection reset by peer"))
             return
-        handler = {
-            SYN_SENT: self._segment_in_syn_sent,
-            SYN_RCVD: self._segment_in_syn_rcvd,
-            LISTEN: self._segment_ignored,
-            CLOSED: self._segment_ignored,
-            TIME_WAIT: self._segment_in_time_wait,
-        }.get(self.state, self._segment_in_established_family)
-        handler(segment)
+        _SEGMENT_HANDLERS[self.state](self, segment)
 
     def _segment_ignored(self, segment: Segment) -> None:
         pass
@@ -872,7 +889,7 @@ class TcpSocket:
             self._process_new_ack(ack)
         elif (
             ack == self.snd_una
-            and self.flight_size > 0
+            and self.snd_nxt > ack
             and segment.length == 0
             and not segment.fin
             and not window_update
@@ -895,8 +912,8 @@ class TcpSocket:
                 self._marks_bytes = _total_bytes(trimmed)
         self.bytes_acked += acked
         self._retries = 0
-        self.send_buffer.release_through(self._stream_offset(ack))
-        now = self.clock.now()
+        self.send_buffer.release_through(ack - 1)  # _stream_offset(ack)
+        now = self.node.clock.now()
         if (
             self.options.timestamps
             and self._last_ack_ts_ecr is not None
@@ -937,12 +954,12 @@ class TcpSocket:
                     self.cc.on_exit_recovery(now)
         else:
             self._dupacks = 0
-            self.cc.on_ack(acked, self.flight_size, now)
+            self.cc.on_ack(acked, self.snd_nxt - ack, now)
         if self.recorder is not None:
             # One check covers every cc mutation on the ACK path (growth,
             # partial ack, recovery exit).
             self._trace_cc("ack")
-        if self.flight_size > 0:
+        if self.snd_nxt > ack:
             self._arm_rto()
         else:
             self._cancel_rto()
@@ -1010,7 +1027,7 @@ class TcpSocket:
     # ---------------------------------------------------------------- payload
 
     def _process_payload(self, segment: Segment) -> None:
-        offset = self._stream_offset(segment.seq)
+        offset = segment.seq - 1  # _stream_offset, inlined
         advanced = self.assembler.accept(offset, segment.length, segment.messages)
         # RFC 5681: out-of-order or duplicate data elicits an immediate ACK;
         # in-order data may be delayed.
@@ -1119,3 +1136,17 @@ class TcpSocket:
             f"{self.remote_addr}:{self.remote_port} {self.state} "
             f"una={self.snd_una} nxt={self.snd_nxt} cwnd={self.cc.cwnd:.0f})"
         )
+
+
+#: Connection state -> :meth:`TcpSocket.handle_segment`'s input handler.
+_SEGMENT_HANDLERS = {
+    CLOSED: TcpSocket._segment_ignored,
+    LISTEN: TcpSocket._segment_ignored,
+    SYN_SENT: TcpSocket._segment_in_syn_sent,
+    SYN_RCVD: TcpSocket._segment_in_syn_rcvd,
+    TIME_WAIT: TcpSocket._segment_in_time_wait,
+    **dict.fromkeys(
+        (ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2, CLOSE_WAIT, CLOSING, LAST_ACK),
+        TcpSocket._segment_in_established_family,
+    ),
+}

@@ -16,7 +16,7 @@ from ..simnet.errors import AddressError
 from ..simnet.node import Node
 from ..simnet.packet import IP_HEADER_BYTES, Packet
 from .options import TcpOptions
-from .segment import Segment
+from .segment import Segment, segment_wire_bytes
 from .socket import LISTEN, TcpSocket
 
 __all__ = ["TcpStack", "Listener"]
@@ -192,7 +192,8 @@ class TcpStack:
                 src=self.node.name,
                 dst=packet.src,
                 protocol="tcp",
-                size_bytes=IP_HEADER_BYTES + reset.wire_bytes,
+                # A reset carries no payload and no options.
+                size_bytes=IP_HEADER_BYTES + segment_wire_bytes(0),
                 payload=reset,
             )
         )

@@ -1,5 +1,7 @@
 """Unit tests for physical and dilated clocks."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,14 @@ class TestPhysicalClock:
         clock.call_in(1.5, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [1.5]
+
+    def test_reschedule_rejects_nan(self):
+        sim = Simulator()
+        clock = PhysicalClock(sim)
+        event = clock.call_in(1.0, lambda: None)
+        with pytest.raises(SchedulingError):
+            clock.reschedule_in(event, float("nan"))
+        assert event.time == 1.0
 
 
 class TestDilatedClock:
@@ -68,6 +78,22 @@ class TestDilatedClock:
         clock = DilatedClock(sim, tdf=2)
         with pytest.raises(SchedulingError):
             clock.call_in(-0.5, lambda: None)
+
+    def test_nan_virtual_delay_rejected(self):
+        sim = Simulator()
+        clock = DilatedClock(sim, tdf=2)
+        with pytest.raises(SchedulingError):
+            clock.call_in(float("nan"), lambda: None)
+        assert sim.pending() == 0
+
+    def test_nan_reschedule_delay_rejected(self):
+        sim = Simulator()
+        clock = DilatedClock(sim, tdf=2)
+        event = clock.call_in(1.0, lambda: None)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(SchedulingError):
+                clock.reschedule_in(event, delay)
+        assert event.active and event.time == 2.0
 
     def test_virtual_origin(self):
         sim = Simulator()
@@ -151,3 +177,41 @@ class TestDilatedClock:
         assert clock.to_local(clock.to_physical(virtual_time)) == pytest.approx(
             virtual_time, rel=1e-9, abs=1e-9
         )
+
+
+class TestCachedRate:
+    """``now``/``call_in``/``reschedule_in`` use a float rate cached per
+    epoch; it must reproduce the exact-epoch arithmetic bit for bit."""
+
+    TDFS = (Fraction(7, 3), 10, 1, "7/3", 0.1, Fraction(7, 3), 1)
+
+    def test_rate_follows_every_tdf_change(self):
+        sim = Simulator()
+        clock = DilatedClock(sim, tdf=1, virtual_origin=0.25)
+        checked = []
+
+        def check(tdf):
+            clock.set_tdf(tdf)
+            rate = float(clock.tdf.value)
+            for offset in (0.0, 0.1, 1.7):
+                # Probe later instants inside the same epoch too.
+                sim.call_at(sim.now + offset, probe, rate)
+
+        def probe(rate):
+            now = clock.now()
+            assert now == clock.to_local(sim.now)
+            event = clock.call_in(0.3, lambda: None)
+            assert event.time == sim.now + 0.3 * rate
+            clock.reschedule_in(event, 1.9)
+            assert event.time == sim.now + 1.9 * rate
+            event.cancel()
+            checked.append(now)
+
+        at = 0.0
+        for tdf in self.TDFS:
+            at += 2.3
+            sim.call_at(at, check, tdf)
+        sim.run()
+        assert len(checked) == 3 * len(self.TDFS)
+        assert len(clock._epochs) == 1 + len(self.TDFS)
+        assert all(b > a for a, b in zip(checked, checked[1:]))

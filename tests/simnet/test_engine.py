@@ -448,3 +448,67 @@ def test_tie_key_later_than_event_time_rejected():
     sim = Simulator()
     with pytest.raises(SchedulingError, match="tie_key"):
         sim.call_at(1.0, lambda: None, tie_key=2.0)
+
+
+# --------------------------------------------------------------- NaN guards
+#
+# ``time < now`` is False for NaN, so a plain less-than guard let a NaN
+# deadline into the heap, where it fired out of order and set ``now`` to
+# NaN. Every scheduling entry point must refuse it.
+
+NAN = float("nan")
+
+
+def _nan_rejected(schedule_fn):
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=0.5)
+    with pytest.raises(SchedulingError):
+        schedule_fn(sim)
+    assert sim.pending() == 1
+    assert sim.heap_len() == 1
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_schedule_rejects_nan_delay():
+    _nan_rejected(lambda sim: sim.schedule(NAN, lambda: None))
+
+
+def test_call_at_rejects_nan_time():
+    _nan_rejected(lambda sim: sim.call_at(NAN, lambda: None))
+
+
+def test_call_at_rejects_nan_tie_key():
+    _nan_rejected(lambda sim: sim.call_at(2.0, lambda: None, tie_key=NAN))
+
+
+def test_schedule_transient_rejects_nan_delay():
+    _nan_rejected(lambda sim: sim.schedule_transient(NAN, lambda: None))
+
+
+def test_schedule_transient_at_rejects_nan_time():
+    _nan_rejected(lambda sim: sim.schedule_transient_at(NAN, lambda: None))
+
+
+def test_reschedule_rejects_nan_time():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "timer")
+    with pytest.raises(SchedulingError):
+        event.reschedule(NAN)
+    # The refused re-key leaves the event armed at its old deadline.
+    assert event.active and event.time == 1.0
+    sim.run()
+    assert fired == ["timer"] and sim.now == 1.0
+
+
+def test_nan_never_reorders_the_run():
+    sim = Simulator()
+    order = []
+    sim.schedule(1.0, lambda: order.append(("a", sim.now)))
+    sim.schedule(0.5, lambda: order.append(("b", sim.now)))
+    with pytest.raises(SchedulingError):
+        sim.schedule(NAN, lambda: order.append(("nan", sim.now)))
+    sim.run()
+    assert order == [("b", 0.5), ("a", 1.0)]

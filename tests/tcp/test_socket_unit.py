@@ -193,3 +193,55 @@ def test_duplicate_synack_is_reacked():
     # The stray handshake segment elicits a pure ACK, not a state change.
     assert h.sock.state == ESTABLISHED
     assert h.sent[-1].ack_flag and h.sent[-1].length == 0
+
+
+def test_emitted_segment_and_packet_fields():
+    """The emit path builds segments and packets positionally; every field
+    must still land under its own name, and the wire size must match
+    :func:`segment_wire_bytes` (options included)."""
+    from repro.simnet.packet import DEFAULT_TTL, IP_HEADER_BYTES
+    from repro.tcp.segment import segment_wire_bytes
+
+    h = Harness(TcpOptions(ecn=True, timestamps=True, sack=True))
+    packets = []
+    h.node.send = packets.append
+    h.node.sim.run(until=0.5)
+    h.establish()
+    h.sock._cwr_pending = True
+    h.sock._ecn_echo = True
+    h.sock.send(100, message="hello")
+    packet = packets[-1]
+    data = packet.payload
+    assert (data.src_port, data.dst_port) == (h.sock.local_port, 80)
+    assert (data.seq, data.length, data.ack) == (1, 100, 1)
+    assert data.ack_flag and not (data.syn or data.fin or data.rst)
+    assert data.window == h.sock.assembler.window()
+    assert data.messages == [(100, "hello")]
+    assert data.sack == ()
+    assert data.ece and data.cwr
+    assert data.ts_val == 0.5 and data.ts_ecr is None
+    assert (packet.src, packet.dst, packet.protocol) == ("a", "peer", "tcp")
+    assert packet.size_bytes == IP_HEADER_BYTES + segment_wire_bytes(
+        100, 0, True) == IP_HEADER_BYTES + data.wire_bytes == 152
+    assert packet.flow_id == h.sock.flow_id
+    assert packet.ttl == DEFAULT_TTL and packet.ecn_capable
+
+    # Out-of-order data from the peer: the immediate ACK carries one SACK
+    # block, is not ECN-capable, and is charged for the option.
+    h.sock.handle_segment(
+        Segment(src_port=80, dst_port=h.sock.local_port, seq=11, length=20,
+                ack=101, ack_flag=True, window=1 << 20, ts_val=0.25)
+    )
+    ack_packet = packets[-1]
+    ack = ack_packet.payload
+    assert ack.length == 0 and ack.sack == ((11, 31),) and not ack.cwr
+    assert ack.ts_ecr == 0.25 and ack.messages == []
+    assert ack_packet.size_bytes == IP_HEADER_BYTES + segment_wire_bytes(
+        0, 1, True) == IP_HEADER_BYTES + ack.wire_bytes == 62
+    assert not ack_packet.ecn_capable
+
+
+def test_segment_has_no_instance_dict():
+    segment = Segment(src_port=1, dst_port=2)
+    assert not hasattr(segment, "__dict__")
+    assert Segment(src_port=1, dst_port=2).uid == segment.uid + 1

@@ -7,9 +7,10 @@ cycles per packet event. The seed engine paid for each re-arm with a fresh
 ``Event`` allocation, a fresh closure, and a heap push into a heap bloated
 by every previously cancelled entry (lazy deletion never reclaimed them
 until they surfaced). The fast path re-keys the existing ``Event`` in
-place (:meth:`Event.reschedule`), recycles fire-and-forget packet events
-through a pool (:meth:`Simulator.schedule_transient`), and compacts the
-heap when dead entries outnumber live ones.
+place (:meth:`Event.reschedule`), schedules fire-and-forget packet events
+as bare heap entries with no ``Event`` behind them
+(:meth:`Simulator.schedule_transient`), and compacts the heap when dead
+entries outnumber live ones.
 
 This benchmark drives both engines through the *identical* logical
 workload — N flows, one packet event per ms per flow, three timer re-arms

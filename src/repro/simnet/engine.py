@@ -31,14 +31,18 @@ event order.
 
 Hot-path design
 ---------------
-The heap stores ``(time, rank, seq, event)`` tuples so ordering comparisons
-run at C speed. Cancellation and rescheduling are *lazy*: the heap entry stays
-behind and is recognised as dead because its ``seq`` no longer matches the
-event's current ``seq`` (cancel sets the event's seq to -1; reschedule
-re-keys it). A live-event counter makes :meth:`Simulator.pending` O(1), and
-when dead entries outnumber live ones the heap is compacted in one O(n)
-pass — without this, workloads that cancel a timer per ACK (TCP does)
-grow the heap without bound and every push/pop pays an inflated log n.
+The heap stores ``(time, rank, seq, event)`` tuples so ordering
+comparisons run at C speed (they never reach past the unique ``seq``). A
+transient (fire-and-forget) callback has no Event: its entry is
+``(time, rank, seq, None, fn, args)``, always live, and the run loop
+calls ``fn(*args)`` straight from it. Cancellation and rescheduling are
+*lazy*: the heap entry of an Event stays behind and is recognised as dead
+because its ``seq`` no longer matches the event's current ``seq`` (cancel
+sets the event's seq to -1; reschedule re-keys it). A live-event
+counter makes :meth:`Simulator.pending` O(1), and when dead entries
+outnumber live ones the heap is compacted in one O(n) pass — without
+this, workloads that cancel a timer per ACK (TCP does) grow the heap
+without bound and every push/pop pays an inflated log n.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ __all__ = ["Event", "Simulator"]
 #: Compaction triggers only beyond this many dead entries, so small
 #: simulations never pay the O(n) sweep.
 _COMPACT_MIN_DEAD = 64
+
+#: Upper bound of every scheduling guard and the run loop's default
+#: limit and budget: nothing may be scheduled at or beyond it.
+_INF = float("inf")
 
 #: Profiler auto-attached to every Simulator constructed while set (see
 #: :func:`set_default_profiler`). Duck-typed so the engine does not import
@@ -86,7 +94,7 @@ class Event:
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "tie_key",
-                 "_sim", "_live", "_transient")
+                 "_sim", "_live")
 
     def __init__(
         self,
@@ -107,9 +115,6 @@ class Event:
         #: True while the event is queued and will fire (the simulator's
         #: live counter includes it).
         self._live = True
-        #: Pool-managed events are recycled after execution; user code never
-        #: sees a handle to them (see :meth:`Simulator.schedule_transient`).
-        self._transient = False
 
     @property
     def active(self) -> bool:
@@ -147,7 +152,7 @@ class Event:
         explicit ``tie_key`` was assigned, which is preserved verbatim.
         """
         sim = self._sim
-        if not time >= sim._now:  # also refuses NaN
+        if not sim._now <= time < _INF:  # also refuses NaN
             raise SchedulingError(
                 f"cannot reschedule at {time}; current time is {sim._now}"
             )
@@ -189,12 +194,13 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, float, int, Event]] = []
+        self._queue: List[tuple] = []
         self._seq = 0
         self._live = 0
         self._running = False
         self._stopped = False
-        #: Number of events executed so far (observability / debugging).
+        #: Number of events executed so far (observability / debugging);
+        #: brought up to date each time :meth:`run` returns.
         self.events_processed = 0
         #: Number of O(n) heap compaction sweeps performed.
         self.compactions = 0
@@ -210,8 +216,6 @@ class Simulator:
         #: attached, the run loop records one 'timer'/'fire' event per
         #: executed event. Default off: one is-None check per event.
         self._recorder = None
-        #: Freelist of recycled transient events.
-        self._event_pool: List[Event] = []
         #: Engine-wide named counters ("drop.queue", "tcp.retransmits"…)
         #: bumped by components; plain data, never scheduled, so bumping
         #: one can never perturb event ordering. Surfaced by
@@ -241,8 +245,8 @@ class Simulator:
         callback's arguments positionally (instead of binding them in a
         lambda) avoids a closure allocation on hot paths.
         """
-        if not delay >= 0:  # also refuses NaN
-            raise SchedulingError(f"negative or NaN delay: {delay}")
+        if not 0 <= delay < _INF:  # also refuses NaN
+            raise SchedulingError(f"negative or non-finite delay: {delay}")
         return self.call_at(self._now + delay, fn, *args)
 
     def call_at(
@@ -264,7 +268,7 @@ class Simulator:
         key is sticky across :meth:`Event.reschedule`. Must not exceed
         ``time`` — an event cannot outrank its own scheduling instant.
         """
-        if not time >= self._now:  # also refuses NaN
+        if not self._now <= time < _INF:  # also refuses NaN
             raise SchedulingError(
                 f"cannot schedule at {time}; current time is {self._now}"
             )
@@ -290,34 +294,25 @@ class Simulator:
     def schedule_transient(
         self, delay: float, fn: Callable[..., None], *args: Any
     ) -> None:
-        """Schedule a fire-and-forget callback with a pooled Event.
+        """Schedule a fire-and-forget callback with no Event behind it.
 
         For internal per-packet events (serialisation completion, delivery)
-        that are never cancelled: the Event object is recycled after it
-        fires, so steady-state packet forwarding allocates no engine
-        objects. No handle is returned — transient events cannot be
-        cancelled or rescheduled.
+        that are never cancelled: the heap entry itself carries ``fn`` and
+        ``args`` (its event slot is ``None``, which marks it always live),
+        so packet forwarding allocates no engine objects beyond the tuple.
+        No handle is returned — transient events cannot be cancelled or
+        rescheduled.
         """
-        if not delay >= 0:  # also refuses NaN
-            raise SchedulingError(f"negative or NaN delay: {delay}")
-        time = self._now + delay
+        if not 0 <= delay < _INF:  # also refuses NaN
+            raise SchedulingError(f"negative or non-finite delay: {delay}")
+        # Not delegated to schedule_transient_at: both are public entry
+        # points that instrumentation may wrap independently.
+        now = self._now
         seq = self._seq
         self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._live = True
-        else:
-            event = Event(time, seq, fn, args, self)
-            event._transient = True
         self._live += 1
         queue = self._queue
-        heapq.heappush(queue, (time, self._now, seq, event))
+        heapq.heappush(queue, (now + delay, now, seq, None, fn, args))
         if len(queue) > self.max_heap_len:
             self.max_heap_len = len(queue)
 
@@ -334,27 +329,16 @@ class Simulator:
         a delay-form transient, so ``schedule_transient_at(now + d)``
         and ``schedule_transient(d)`` produce bit-identical heap entries.
         """
-        if not time >= self._now:  # also refuses NaN
+        now = self._now
+        if not now <= time < _INF:  # also refuses NaN
             raise SchedulingError(
-                f"cannot schedule at {time}; current time is {self._now}"
+                f"cannot schedule at {time}; current time is {now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._live = True
-        else:
-            event = Event(time, seq, fn, args, self)
-            event._transient = True
         self._live += 1
         queue = self._queue
-        heapq.heappush(queue, (time, self._now, seq, event))
+        heapq.heappush(queue, (time, now, seq, None, fn, args))
         if len(queue) > self.max_heap_len:
             self.max_heap_len = len(queue)
 
@@ -383,6 +367,8 @@ class Simulator:
             raise SchedulingError("simulator is already running (re-entrant run)")
         self._running = True
         self._stopped = False
+        limit = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         executed = 0
         # Bind hot attributes to locals: the loop body below runs once per
         # event and attribute lookups dominate at this altitude.
@@ -390,45 +376,42 @@ class Simulator:
         heappop = heapq.heappop
         profiler = self._profiler
         recorder = self._recorder
-        pool = self._event_pool
         try:
             while queue and not self._stopped:
                 entry = queue[0]
                 event = entry[3]
-                if entry[2] != event.seq:
+                if event is not None and entry[2] != event.seq:
                     # Dead entry: cancelled or re-keyed by reschedule().
                     heappop(queue)
                     self.dead_entries_reaped += 1
                     continue
                 time = entry[0]
-                if until is not None and time > until:
+                if time > limit:
                     break
-                if max_events is not None and executed >= max_events:
+                if executed >= budget:
                     raise SchedulingError(
                         f"exceeded max_events={max_events} at t={self._now}; "
                         "runaway simulation?"
                     )
                 heappop(queue)
                 self._now = time
-                event._live = False
                 self._live -= 1
-                event.fn(*event.args)
-                self.events_processed += 1
+                if event is None:
+                    fn = entry[4]
+                    fn(*entry[5])
+                else:
+                    event._live = False
+                    fn = event.fn
+                    fn(*event.args)
                 executed += 1
                 if profiler is not None:
-                    profiler._record(event)
+                    profiler._record(fn)
                 if recorder is not None:
-                    # Before transient recycling below clears event.fn.
-                    recorder.record_timer(time, event.fn)
-                if event._transient and len(pool) < 512:
-                    # Drop callback/arg references so pooled events do not
-                    # pin packets or closures, then recycle the object.
-                    event.fn = _noop
-                    event.args = ()
-                    pool.append(event)
+                    recorder.record_timer(time, fn)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
+            self.events_processed += executed
             self._running = False
 
     def stop(self) -> None:
@@ -453,7 +436,8 @@ class Simulator:
         queue = self._queue
         if queue:
             entry = queue[0]
-            if entry[2] == entry[3].seq:
+            event = entry[3]
+            if event is None or entry[2] == event.seq:
                 return entry[0]
             return self._peek_slow()
         return None
@@ -465,7 +449,8 @@ class Simulator:
         result: Optional[float] = None
         while queue:
             entry = queue[0]
-            if entry[2] == entry[3].seq:
+            event = entry[3]
+            if event is None or entry[2] == event.seq:
                 result = entry[0]
                 break
             heapq.heappop(queue)
@@ -487,7 +472,10 @@ class Simulator:
         """
         queue = self._queue
         before = len(queue)
-        queue[:] = [entry for entry in queue if entry[2] == entry[3].seq]
+        queue[:] = [
+            entry for entry in queue
+            if entry[3] is None or entry[2] == entry[3].seq
+        ]
         heapq.heapify(queue)
         self.compactions += 1
         self.dead_entries_reaped += before - len(queue)
@@ -523,6 +511,3 @@ class Simulator:
             f"processed={self.events_processed})"
         )
 
-
-def _noop() -> None:
-    """Placeholder callback for recycled transient events."""

@@ -142,6 +142,25 @@ def _path_constants(options, fwd: List, rev: List):
     return data_wire, ack_wire, base_phys, bottleneck
 
 
+def _slots_full(count: int, tail_payload: int, tail_len: int,
+                overhead: int, queued_wire: float) -> bool:
+    """Loss-imminent slot check: does the queued excess occupy more than
+    ``tail_len`` bottleneck queue slots?
+
+    The bottleneck queue holds the most recently emitted segments (FIFO
+    drain), so the slots it occupies are the fewest newest pipeline
+    segments whose wire bytes cover ``queued_wire``. Each segment adds a
+    positive payload plus the fixed ``overhead``, so that cover only grows
+    walking back from the newest: more than ``tail_len`` segments are
+    queued exactly when the pipeline holds more than ``tail_len`` of them
+    and the newest ``tail_len`` (payload sum ``tail_payload`` plus their
+    overhead) still fall short of ``queued_wire``. That is the answer a
+    walk back over the pipeline gives, in one compare; the sums are
+    integers far below 2**53, so comparing them with the float is exact.
+    """
+    return count > tail_len and tail_payload + tail_len * overhead < queued_wire
+
+
 def _queue_cap_bytes(queue) -> float:
     """Bottleneck queue *byte* capacity (inf when not byte-bounded).
 
@@ -225,9 +244,11 @@ class FluidFlow:
         # the segment-size orbit self-organises within an RTT exactly as
         # the engine's does.
         self._overhead = data_wire - self.mss
-        self._segq: deque = deque()
-        self._flight_payload = 0
-        self._flight_wire = 0
+        self._init_pipeline(
+            self.queue_cap_pkts - EXIT_MARGIN_PKTS
+            if self.queue_cap_pkts is not None
+            else None
+        )
         self._seed_pipeline(int(self._window()))
         self._t_credit = 0.0
 
@@ -236,6 +257,23 @@ class FluidFlow:
         ]
         self._dt = self._step_len()
         self._event = clock.call_in(self._dt, self._step)
+
+    def _init_pipeline(self, pkt_margin: Optional[int]) -> None:
+        """Empty the pipeline; the flow exits loss-imminent once the
+        bottleneck queue holds ``pkt_margin`` of its segments (``None``:
+        the queue has no packet bound)."""
+        self._segq: deque = deque()
+        self._flight_payload = 0
+        self._flight_wire = 0
+        self._pkt_margin = pkt_margin
+        #: Payload sum of the newest ``_tail_len`` pipeline segments, for
+        #: the O(1) slot check (see :func:`_slots_full`). Kept exact
+        #: whenever the pipeline is longer than ``_tail_len`` — the only
+        #: time the check reads it. Popping the front never touches the
+        #: newest ``_tail_len`` of a longer pipeline, and once a pop leaves
+        #: it shorter, the next push re-bases the sum on the whole flight.
+        self._tail_len = max(pkt_margin - 1, 0) if pkt_margin is not None else 0
+        self._tail_payload = 0
 
     def _seed_pipeline(self, window: int) -> None:
         mss = self.mss
@@ -289,9 +327,16 @@ class FluidFlow:
             self._push_segment(runt)
 
     def _push_segment(self, payload: int) -> None:
-        self._segq.append(payload)
+        """Emit one segment into the pipeline (``_step`` inlines this)."""
+        q = self._segq
+        q.append(payload)
         self._flight_payload += payload
         self._flight_wire += payload + self._overhead
+        tail_len = self._tail_len
+        if len(q) > tail_len:
+            self._tail_payload += payload - q[-tail_len - 1]
+        else:
+            self._tail_payload = self._flight_payload
 
     # ------------------------------------------------------------- model
 
@@ -356,54 +401,77 @@ class FluidFlow:
         nagle = sock.options.nagle
         ack_every = self.ack_every
         overhead = self._overhead
+        rtt_base_v = self.rtt_base_v
+        cap_wire_v = self.cap_wire_v
+        bdp_wire = self.bdp_wire
         budget = self._dt + self._t_credit
         byte_margin = (
-            self.bdp_wire + self.queue_cap_bytes
-            - EXIT_MARGIN_PKTS * self.data_wire
+            bdp_wire + self.queue_cap_bytes - EXIT_MARGIN_PKTS * self.data_wire
         )
-        pkt_margin = (
-            self.queue_cap_pkts - EXIT_MARGIN_PKTS
-            if self.queue_cap_pkts is not None
-            else None
-        )
+        # Nothing below can move the peer's window or ssthresh, and only
+        # this loop moves cwnd and the pipeline: all of them live in
+        # locals until the single write-back after the loop.
+        cwnd = cc.cwnd
+        ssthresh = cc.ssthresh
+        snd_wnd = float(sock.snd_wnd)
+        pkt_margin = self._pkt_margin
+        tail_len = self._tail_len
         wave_exit = None
         if pkt_margin is not None and not nagle:
-            ssthresh = float(cc.ssthresh)
-            if 0.0 < ssthresh < float("inf") and cc.cwnd >= ssthresh:
-                wave_exit = 2.0 * ssthresh - WAVE_EXIT_MSS * mss
+            ss = float(ssthresh)
+            if 0.0 < ss < float("inf") and cwnd >= ss:
+                wave_exit = 2.0 * ss - WAVE_EXIT_MSS * mss
+        flight_payload = self._flight_payload
+        flight_wire = self._flight_wire
+        tail = self._tail_payload
         t = 0.0
         delta = 0
         acks = 0
         segs = 0
         loss_imminent = False
         q = self._segq
+        popleft = q.popleft
+        push = q.append
+        # Builtins cost a call each at this altitude: the pipeline length
+        # is tracked in a local, and min/max are written as the compares
+        # they perform (same operand on ties, so bit-identical).
+        count = len(q)
         while t < budget:
-            if len(q) < ack_every or delta + 2 * mss > remaining:
+            if count < ack_every or delta + 2 * mss > remaining:
                 break
             p = 0
             for _ in range(ack_every):
-                p += q.popleft()
+                p += popleft()
+            count -= ack_every
             segs += ack_every
             cycle_wire = p + ack_every * overhead
-            self._flight_payload -= p
-            self._flight_wire -= cycle_wire
-            window = min(cc.cwnd, float(sock.snd_wnd))
-            t += max(
-                p * self.rtt_base_v / window, cycle_wire / self.cap_wire_v
-            )
+            flight_payload -= p
+            flight_wire -= cycle_wire
+            window = snd_wnd if snd_wnd < cwnd else cwnd
+            clocked = p * rtt_base_v / window
+            drained = cycle_wire / cap_wire_v
+            t += drained if drained > clocked else clocked
             delta += p
             acks += 1
-            if cc.cwnd < cc.ssthresh:
+            if cwnd < ssthresh:
                 # Slow start with appropriate byte counting (RFC 3465).
-                cc.cwnd += min(p, mss)
+                cwnd += mss if mss < p else p
             else:
-                cc.cwnd += mss * mss / cc.cwnd
-            usable = int(min(cc.cwnd, float(sock.snd_wnd))) - self._flight_payload
-            while usable >= mss:
-                self._push_segment(mss)
-                usable -= mss
-            if usable > 0 and not nagle:
-                self._push_segment(usable)
+                cwnd += mss * mss / cwnd
+            # Emit the freed window as full segments plus (Nagle off) one
+            # runt: _push_segment, inlined on the locals.
+            usable = int(snd_wnd if snd_wnd < cwnd else cwnd) - flight_payload
+            while usable >= mss or (usable > 0 and not nagle):
+                payload = mss if usable >= mss else usable
+                push(payload)
+                count += 1
+                flight_payload += payload
+                flight_wire += payload + overhead
+                if count > tail_len:
+                    tail += payload - q[-tail_len - 1]
+                else:
+                    tail = flight_payload
+                usable -= payload
             # Loss-imminent: the pipeline is within the exit margin of the
             # bottleneck overflow point — by queue bytes, or by queue
             # *slots* (each packet occupies one slot whatever its size, so
@@ -412,37 +480,22 @@ class FluidFlow:
             # overflows the queue organically and pays the true recovery
             # cost; the flow re-enters once the halved window clears the
             # entry margin.
-            if self._flight_wire >= byte_margin:
+            if flight_wire >= byte_margin:
                 loss_imminent = True
                 break
-            if (
-                wave_exit is not None
-                and cc.cwnd >= wave_exit
-                and float(sock.snd_wnd) > cc.cwnd
-            ):
+            if wave_exit is not None and cwnd >= wave_exit and snd_wnd > cwnd:
                 # Runt maturation wave imminent (see WAVE_EXIT_MSS).
                 loss_imminent = True
                 break
-            if pkt_margin is not None:
-                queued_wire = self._flight_wire - self.bdp_wire
-                if queued_wire > 0.0:
-                    # The bottleneck queue holds the most recently emitted
-                    # segments (FIFO drain), so walk the pipeline from the
-                    # back accumulating wire bytes until the queued excess
-                    # is covered; the segment count is the number of queue
-                    # slots occupied by the live mix.
-                    acc = 0.0
-                    cnt = 0
-                    for payload in reversed(q):
-                        if acc >= queued_wire:
-                            break
-                        acc += payload + overhead
-                        cnt += 1
-                        if cnt >= pkt_margin:
-                            loss_imminent = True
-                            break
-                    if loss_imminent:
-                        break
+            if pkt_margin is not None and _slots_full(
+                count, tail, tail_len, overhead, flight_wire - bdp_wire
+            ):
+                loss_imminent = True
+                break
+        cc.cwnd = cwnd
+        self._flight_payload = flight_payload
+        self._flight_wire = flight_wire
+        self._tail_payload = tail
         self._t_credit = min(max(budget - t, -STEP_CAP_S), STEP_CAP_S)
 
         if delta > 0:

@@ -37,6 +37,7 @@ and schedules zero extra events — clean-path runs stay bit-identical.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -216,8 +217,10 @@ class Reorder(Impairment):
                  rng: Optional[random.Random] = None, seed: int = 0) -> None:
         if not 0 <= rate <= 1:
             raise ConfigurationError(f"reorder rate must be in [0, 1]: {rate}")
-        if hold_s < 0:
-            raise ConfigurationError(f"hold_s must be non-negative: {hold_s}")
+        if not 0 <= hold_s < math.inf:  # also refuses NaN
+            raise ConfigurationError(
+                f"hold_s must be finite and non-negative: {hold_s}"
+            )
         self.rate = rate
         self.hold_s = hold_s
         self._rng = _make_rng(rng, seed)
@@ -296,9 +299,10 @@ class LinkFlap(Impairment):
         self.down = False
         self.transitions = 0
         for down_at, up_at in windows:
-            if up_at <= down_at:
+            if not -math.inf < down_at < up_at < math.inf:  # refuses NaN
                 raise ConfigurationError(
-                    f"flap window must have up_at > down_at: ({down_at}, {up_at})"
+                    "flap window must be finite with up_at > down_at: "
+                    f"({down_at}, {up_at})"
                 )
         self.sim = sim
         self.windows: Tuple[Tuple[float, float], ...] = tuple(
@@ -372,19 +376,29 @@ class Handover(Impairment):
         burst: int = 0,
         hold_s: float = 0.0,
     ) -> None:
-        if outage_s <= 0:
-            raise ConfigurationError(f"outage_s must be positive: {outage_s}")
-        if hold_s < 0:
-            raise ConfigurationError(f"hold_s must be non-negative: {hold_s}")
+        # Every guard is written so that NaN fails it.
+        if not 0 < outage_s < math.inf:
+            raise ConfigurationError(
+                f"outage_s must be finite and positive: {outage_s}"
+            )
+        if not 0 <= hold_s < math.inf:
+            raise ConfigurationError(
+                f"hold_s must be finite and non-negative: {hold_s}"
+            )
         if burst < 0:
             raise ConfigurationError(f"burst must be non-negative: {burst}")
         ordered = tuple(float(t) for t in times)
-        if any(b <= a for a, b in zip(ordered, ordered[1:])):
+        if not all(math.isfinite(t) for t in ordered) or any(
+            b <= a for a, b in zip(ordered, ordered[1:])
+        ):
             raise ConfigurationError(
-                f"handover times must be strictly increasing: {ordered}"
+                f"handover times must be finite and strictly increasing: "
+                f"{ordered}"
             )
-        if any(d < 0 for d in delays):
-            raise ConfigurationError(f"delays must be non-negative: {delays}")
+        if not all(0 <= d < math.inf for d in delays):
+            raise ConfigurationError(
+                f"delays must be finite and non-negative: {delays}"
+            )
         self.sim = sim
         self.times = ordered
         self.outage_s = outage_s
@@ -571,6 +585,13 @@ class ImpairmentSpec:
         if self.kind not in _KINDS:
             raise ConfigurationError(
                 f"unknown impairment kind {self.kind!r}; known: {_KINDS}"
+            )
+        values = (self.rate, self.burst, self.hold_s, self.every_s,
+                  self.outage_s, *self.delays,
+                  *(edge for window in self.windows for edge in window))
+        if not all(math.isfinite(value) for value in values):
+            raise ConfigurationError(
+                f"impairment values must be finite (no NaN or inf): {self}"
             )
         if self.kind == "handover":
             if self.every_s <= 0:

@@ -246,7 +246,8 @@ class Interface:
         Held (reordered) packets re-enter here directly so a packet passes
         the impairment chain exactly once.
         """
-        if not self.queue.offer(packet):
+        queue = self.queue
+        if not queue.offer(packet):
             self._drop(packet, "queue")
             return
         if self.recorder is not None:
@@ -254,22 +255,17 @@ class Interface:
         if self._taps:
             self._notify("enqueue", packet)
         if not self._busy:
-            self._transmit_next()
-
-    def _transmit_next(self) -> None:
-        packet = self.queue.poll()
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
-        # Serialisation completion time is computable up front; a pooled
-        # transient event (bound method + argument, no closure, recycled
-        # Event object) carries the packet to the end of the wire hold.
-        self.sim.schedule_transient(
-            packet.size_bytes * 8.0 / self.bandwidth_bps,
-            self._finish_transmit,
-            packet,
-        )
+            # Idle wire: the packet just accepted is the head. Its
+            # serialisation completion is computable up front, so one
+            # transient event (bound method + argument, no closure, no
+            # Event object) carries it to the end of the wire hold.
+            self._busy = True
+            packet = queue.poll()
+            self.sim.schedule_transient(
+                packet.size_bytes * 8.0 / self.bandwidth_bps,
+                self._finish_transmit,
+                packet,
+            )
 
     def _finish_transmit(self, packet: Packet) -> None:
         self.tx_bytes += packet.size_bytes
@@ -303,7 +299,17 @@ class Interface:
             channel.send(arrival, packet)
         else:
             self.sim.schedule_transient_at(arrival, peer._deliver, packet)
-        self._transmit_next()
+        # The delivery above is scheduled before the next wire hold, so
+        # same-instant ties keep their order.
+        packet = self.queue.poll()
+        if packet is None:
+            self._busy = False
+            return
+        self.sim.schedule_transient(
+            packet.size_bytes * 8.0 / self.bandwidth_bps,
+            self._finish_transmit,
+            packet,
+        )
 
     def _deliver(self, packet: Packet) -> None:
         self.rx_bytes += packet.size_bytes

@@ -85,33 +85,31 @@ class Node:
         packet.created_at = self.sim.now
         if packet.dst == self.name:
             # Loopback: deliver without touching the wire.
-            self.sim.schedule(0.0, lambda: self._demux(packet))
+            self.sim.schedule(0.0, self.receive, packet, None)
             return
-        if packet.dst not in self.routes:
+        interface = self.routes.get(packet.dst)
+        if interface is None:
             raise RoutingError(f"{self.name}: no route to {packet.dst}")
-        self._forward(packet)
+        interface.send(packet)
 
-    def receive(self, packet: Packet, arriving_interface: Interface) -> None:
-        """Called by an interface when a packet arrives."""
+    def receive(
+        self, packet: Packet, arriving_interface: Optional[Interface]
+    ) -> None:
+        """Called by an interface when a packet arrives: hand it to the
+        protocol registered for it, or forward it one hop closer."""
         if packet.dst == self.name:
-            self._demux(packet)
+            handler = self._protocols.get(packet.protocol)
+            if handler is None:
+                self.unhandled_packets += 1
+                return
+            handler.deliver(packet)
             return
         packet.hop()
-        self._forward(packet)
-
-    def _forward(self, packet: Packet) -> None:
         interface = self.routes.get(packet.dst)
         if interface is None:
             self.no_route_drops += 1
             return
         interface.send(packet)
-
-    def _demux(self, packet: Packet) -> None:
-        handler = self._protocols.get(packet.protocol)
-        if handler is None:
-            self.unhandled_packets += 1
-            return
-        handler.deliver(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.name}, ifaces={len(self.interfaces)})"

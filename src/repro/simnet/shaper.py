@@ -165,7 +165,7 @@ class ShapedInterface:
             if wait > self._EPSILON_S:
                 self._draining = True
                 # Fire-and-forget: the resume event is never cancelled, so
-                # it can ride a pooled transient event.
+                # it can ride a transient heap entry.
                 self.sim.schedule_transient(wait, self._resume)
                 return
             self.bucket.consume(head.size_bytes)

@@ -65,10 +65,11 @@ class EngineProfiler:
         if sim not in self.sims:
             self.sims.append(sim)
 
-    def _record(self, event) -> None:
-        """Engine callback per executed event (hot when attached)."""
+    def _record(self, fn) -> None:
+        """Engine callback per executed event, given the event's callback
+        (hot when attached)."""
         self.events += 1
-        key = getattr(event.fn, "__qualname__", repr(event.fn))
+        key = getattr(fn, "__qualname__", repr(fn))
         by = self.by_component
         by[key] = by.get(key, 0) + 1
 

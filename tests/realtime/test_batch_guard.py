@@ -30,11 +30,15 @@ def _build_cbr_world():
 
 
 def _live_heap(sim):
-    """The live (non-cancelled) heap entries as comparable keys."""
+    """The ``(time, rank, seq)`` keys of the live heap entries.
+
+    An entry is live when it is transient (no Event behind it) or its seq
+    still matches its Event's; cancelled and re-keyed entries are not.
+    """
     return sorted(
-        (time, rank, seq)
-        for time, rank, seq, event in sim._queue
-        if not event.cancelled
+        entry[:3]
+        for entry in sim._queue
+        if entry[3] is None or entry[2] == entry[3].seq
     )
 
 

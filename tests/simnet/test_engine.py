@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simnet.engine import Simulator
+from repro.simnet.engine import Event, Simulator
 from repro.simnet.errors import SchedulingError
 
 
@@ -310,7 +310,15 @@ def test_transient_event_fires_with_args():
     assert got == [(1.0, 7)]
 
 
-def test_transient_events_are_pooled():
+def test_transient_chain_creates_no_events(monkeypatch):
+    created = []
+    original_init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
     sim = Simulator()
     seen = []
 
@@ -322,13 +330,37 @@ def test_transient_events_are_pooled():
     sim.schedule_transient(1.0, hop, 1)
     sim.run()
     assert seen == list(range(1, 11))
-    # An event is recycled only after its callback returns, so a chain that
-    # schedules its successor from the callback alternates between two
-    # pooled events — not one, and certainly not ten fresh allocations.
-    assert len(sim._event_pool) == 2
-    # Recycled events must not pin callbacks or arguments.
-    for pooled in sim._event_pool:
-        assert pooled.args == ()
+    assert sim.events_processed == 10
+    # A transient is a bare heap entry: no Event handle behind it.
+    assert created == []
+    # The counting hook does see handle-bearing events.
+    sim.schedule(1.0, lambda: None)
+    assert len(created) == 1
+
+
+def test_interleaved_transients_stay_live_through_cancel_and_compaction():
+    sim = Simulator()
+    order = []
+    for i in range(100):
+        sim.schedule_transient(2.0 + i, order.append, ("transient", i))
+    keeper = sim.schedule(1.5, order.append, ("timer", 0))
+    doomed = [sim.schedule(1.0 + i * 1e-3, order.append, "x")
+              for i in range(200)]
+    for event in doomed:  # the dead outnumber the live: compaction runs
+        event.cancel()
+    assert sim.compactions > 0
+    assert sim.pending() == 101
+    # The sweeps dropped dead entries only, never a transient.
+    assert sim.heap_len() < 300
+    assert sum(entry[3] is None for entry in sim._queue) == 100
+    assert sim.peek_time() == 1.5
+    keeper.cancel()
+    # A transient at the head is live: peek_time returns it unreaped.
+    assert sim.peek_time() == 2.0
+    assert sim.pending() == 100
+    sim.run()
+    assert order == [("transient", i) for i in range(100)]
+    assert sim.pending() == 0
 
 
 def test_transient_negative_delay_rejected():
@@ -459,7 +491,7 @@ def test_tie_key_later_than_event_time_rejected():
 NAN = float("nan")
 
 
-def _nan_rejected(schedule_fn):
+def _rejected_harmlessly(schedule_fn):
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     sim.run(until=0.5)
@@ -472,23 +504,23 @@ def _nan_rejected(schedule_fn):
 
 
 def test_schedule_rejects_nan_delay():
-    _nan_rejected(lambda sim: sim.schedule(NAN, lambda: None))
+    _rejected_harmlessly(lambda sim: sim.schedule(NAN, lambda: None))
 
 
 def test_call_at_rejects_nan_time():
-    _nan_rejected(lambda sim: sim.call_at(NAN, lambda: None))
+    _rejected_harmlessly(lambda sim: sim.call_at(NAN, lambda: None))
 
 
 def test_call_at_rejects_nan_tie_key():
-    _nan_rejected(lambda sim: sim.call_at(2.0, lambda: None, tie_key=NAN))
+    _rejected_harmlessly(lambda sim: sim.call_at(2.0, lambda: None, tie_key=NAN))
 
 
 def test_schedule_transient_rejects_nan_delay():
-    _nan_rejected(lambda sim: sim.schedule_transient(NAN, lambda: None))
+    _rejected_harmlessly(lambda sim: sim.schedule_transient(NAN, lambda: None))
 
 
 def test_schedule_transient_at_rejects_nan_time():
-    _nan_rejected(lambda sim: sim.schedule_transient_at(NAN, lambda: None))
+    _rejected_harmlessly(lambda sim: sim.schedule_transient_at(NAN, lambda: None))
 
 
 def test_reschedule_rejects_nan_time():
@@ -498,6 +530,39 @@ def test_reschedule_rejects_nan_time():
     with pytest.raises(SchedulingError):
         event.reschedule(NAN)
     # The refused re-key leaves the event armed at its old deadline.
+    assert event.active and event.time == 1.0
+    sim.run()
+    assert fired == ["timer"] and sim.now == 1.0
+
+
+# ``time >= now`` holds for +inf, so the NaN guards alone let an infinite
+# deadline in; the run then ended with ``now == inf``.
+
+INF = float("inf")
+
+
+def test_schedule_rejects_infinite_delay():
+    _rejected_harmlessly(lambda sim: sim.schedule(INF, lambda: None))
+
+
+def test_call_at_rejects_infinite_time():
+    _rejected_harmlessly(lambda sim: sim.call_at(INF, lambda: None))
+
+
+def test_schedule_transient_rejects_infinite_delay():
+    _rejected_harmlessly(lambda sim: sim.schedule_transient(INF, lambda: None))
+
+
+def test_schedule_transient_at_rejects_infinite_time():
+    _rejected_harmlessly(lambda sim: sim.schedule_transient_at(INF, lambda: None))
+
+
+def test_reschedule_rejects_infinite_time():
+    sim = Simulator()
+    fired = []
+    event = sim.schedule(1.0, fired.append, "timer")
+    with pytest.raises(SchedulingError):
+        event.reschedule(INF)
     assert event.active and event.time == 1.0
     sim.run()
     assert fired == ["timer"] and sim.now == 1.0

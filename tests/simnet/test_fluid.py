@@ -10,10 +10,15 @@ timed impairment-triggered demotions/promotions never corrupt the stream.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.simnet.fluid import FluidManager
+from repro.core.dilation import NetworkProfile
+from repro.harness.experiments import run_bulk
+from repro.simnet import fluid
+from repro.simnet.fluid import FluidFlow, FluidManager, _slots_full
 from repro.simnet.impairments import ImpairmentChain
 from repro.simnet.units import mbps, ms
+from repro.stats.engineprof import profiled
 from repro.tcp import TcpOptions
 from tests.helpers import Collector, two_hosts
 
@@ -197,3 +202,155 @@ def test_property_random_impairment_transitions_conserve_bytes(seed):
     assert counters.get("fluid.entries", 0) >= 1
     assert done_at[0] is not None
     assert done_at[0] == pytest.approx(packet_done[0], rel=0.10)
+
+
+# ------------------------------------------------------- O(1) slot check
+
+MSS = 1460
+
+
+def _reference_slots_full(pipeline, pkt_margin, overhead, queued_wire):
+    """The loss-imminent slot check as a walk back over the pipeline.
+
+    The bottleneck queue holds the newest segments; walk from the back,
+    accumulating wire bytes until the queued excess is covered, and report
+    loss-imminent once ``pkt_margin`` segments were needed.
+    """
+    if pkt_margin is None or not queued_wire > 0.0:
+        return False
+    acc = 0.0
+    count = 0
+    for payload in reversed(pipeline):
+        if acc >= queued_wire:
+            break
+        acc += payload + overhead
+        count += 1
+        if count >= pkt_margin:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.just(MSS),  # full segment
+            st.integers(1, MSS - 1),  # runt
+            st.none(),  # pop the front (one segment reached the receiver)
+        ),
+        max_size=160,
+    ),
+    pkt_margin=st.one_of(st.none(), st.integers(-2, 40)),
+    overhead=st.integers(0, 100),
+    queued_wire=st.one_of(
+        st.floats(-5_000.0, 80_000.0, allow_nan=False),
+        st.integers(-5_000, 80_000).map(float),
+    ),
+)
+def test_slot_check_matches_reference_walk(ops, pkt_margin, overhead,
+                                           queued_wire):
+    flow = FluidFlow.__new__(FluidFlow)
+    flow._overhead = overhead
+    flow._init_pipeline(pkt_margin)
+    q = flow._segq
+    for op in ops:
+        if op is None:
+            if not q:
+                continue
+            # The replay loop's pop: flight bookkeeping only.
+            payload = q.popleft()
+            flow._flight_payload -= payload
+            flow._flight_wire -= payload + overhead
+        else:
+            flow._push_segment(op)
+        pipeline = list(q)
+        assert flow._flight_payload == sum(pipeline)
+        assert flow._flight_wire == sum(pipeline) + len(pipeline) * overhead
+        tail_len = flow._tail_len
+        if len(pipeline) > tail_len:
+            # Exact whenever the slot check can read it.
+            assert flow._tail_payload == sum(pipeline[len(pipeline) - tail_len:])
+        # The drawn excess, and the excesses on either side of the exact
+        # boundary where the newest pkt_margin - 1 segments cover it.
+        boundary = sum(pipeline[len(pipeline) - tail_len:]) + tail_len * overhead
+        for excess in (queued_wire, boundary - 1.0, boundary - 0.5,
+                       float(boundary), boundary + 0.5, boundary + 1.0):
+            fast = pkt_margin is not None and _slots_full(
+                len(q), flow._tail_payload, tail_len, overhead, excess
+            )
+            assert fast == _reference_slots_full(
+                pipeline, pkt_margin, overhead, excess
+            )
+
+
+def test_replay_loop_slot_check_matches_walk_on_every_ack(monkeypatch):
+    """The replay loop keeps the pipeline length and tail sum in locals;
+    on a cell where the slot check fires, check every evaluation against
+    the live pipeline and the reference walk."""
+    stepping = []
+    evaluations = []
+    step = FluidFlow._step
+    slots_full = fluid._slots_full
+
+    def tracked_step(flow):
+        stepping.append(flow)
+        try:
+            step(flow)
+        finally:
+            stepping.pop()
+
+    def checked_slots_full(count, tail_payload, tail_len, overhead,
+                           queued_wire):
+        flow = stepping[-1]
+        pipeline = list(flow._segq)
+        assert count == len(pipeline)
+        assert tail_len == flow._tail_len
+        if count > tail_len:
+            assert tail_payload == sum(pipeline[count - tail_len:])
+        result = slots_full(count, tail_payload, tail_len, overhead,
+                            queued_wire)
+        assert result == _reference_slots_full(
+            pipeline, flow._pkt_margin, overhead, queued_wire
+        )
+        evaluations.append(result)
+        return result
+
+    monkeypatch.setattr(FluidFlow, "_step", tracked_step)
+    monkeypatch.setattr(fluid, "_slots_full", checked_slots_full)
+    run_bulk(NetworkProfile.from_rtt(mbps(20), ms(40)), 1, duration_s=8.0,
+             warmup_s=2.0, fidelity="hybrid", queue_packets=20)
+    assert len(evaluations) > 1000
+    assert any(evaluations)
+
+
+#: (bandwidth_mbps, rtt_ms, queue_packets) -> outputs of the per-ACK
+#: pipeline walk that the O(1) slot check replaced. The first is the fig3
+#: cell (BDP-sized queue), where the byte margin ends each fluid spell;
+#: the 20-packet queue of the second makes the slot check itself fire.
+HYBRID_PINS = {
+    (50, 20, None): dict(goodput_bps=47208089.333333336, events=102864,
+                         steps=236, entries=3, exits=2, checks=238),
+    (20, 40, 20): dict(goodput_bps=17543986.666666668, events=45209,
+                       steps=196, entries=3, exits=2, checks=198),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(HYBRID_PINS, key=str))
+def test_hybrid_cell_pinned(cell):
+    bandwidth_mbps, rtt_ms, queue_packets = cell
+    pin = HYBRID_PINS[cell]
+    with profiled() as profiler:
+        result = run_bulk(
+            NetworkProfile.from_rtt(mbps(bandwidth_mbps), ms(rtt_ms)), 1,
+            duration_s=8.0, warmup_s=2.0, fidelity="hybrid",
+            queue_packets=queue_packets,
+        )
+    counters = profiler.counters()
+    assert result.goodput_bps == pin["goodput_bps"]
+    assert result.events_processed == pin["events"]
+    assert counters["fluid.steps"] == pin["steps"]
+    assert counters["fluid.entries"] == pin["entries"]
+    assert counters["fluid.exits"] == pin["exits"]
+    assert counters["fluid.exit.loss-imminent"] == pin["exits"]
+    assert counters["fluid.conservation_checks"] == pin["checks"]
+    assert counters.get("fluid.conservation_failures", 0) == 0

@@ -460,3 +460,54 @@ def test_handover_spec_parse_build_and_tdf_scaling():
         ImpairmentSpec.parse("handover:every=0")
     with pytest.raises(ConfigurationError):
         ImpairmentSpec.parse("handover:every=1.0,outage=2.0")
+
+
+# ------------------------------------------------- non-finite parameters
+#
+# Each of these used to be accepted: a NaN hold or window edge failed
+# every ``<`` check and slipped through, and an infinite one reached the
+# engine heap.
+
+
+@pytest.mark.parametrize("text", [
+    "reorder:rate=0.1,hold=nan",
+    "reorder:rate=0.1,hold=inf",
+    "flap:windows=nan-1",
+    "flap:windows=1-inf",
+    "bernoulli:rate=nan",
+    "handover:every=2.0,count=3,outage=0.05,delays=0.03+inf",
+])
+def test_spec_refuses_non_finite_values(text):
+    with pytest.raises(ConfigurationError):
+        ImpairmentSpec.parse(text)
+
+
+@pytest.mark.parametrize("hold_s", [float("nan"), float("inf")])
+def test_reorder_refuses_non_finite_hold(hold_s):
+    with pytest.raises(ConfigurationError):
+        Reorder(0.1, hold_s=hold_s)
+
+
+@pytest.mark.parametrize("window", [
+    (float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf")),
+    (float("-inf"), 1.0),
+])
+def test_link_flap_refuses_non_finite_window(window):
+    with pytest.raises(ConfigurationError):
+        LinkFlap(Simulator(), [window])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(times=[float("nan")], outage_s=0.1),
+    dict(times=[1.0, float("inf")], outage_s=0.1),
+    dict(times=[1.0], outage_s=float("nan")),
+    dict(times=[1.0], outage_s=float("inf")),
+    dict(times=[1.0], outage_s=0.1, hold_s=float("nan")),
+    dict(times=[1.0], outage_s=0.1, delays=[float("inf")]),
+    dict(times=[1.0], outage_s=0.1, delays=[float("nan")]),
+])
+def test_handover_refuses_non_finite_values(kwargs):
+    from repro.simnet.impairments import Handover
+
+    with pytest.raises(ConfigurationError):
+        Handover(Simulator(), **kwargs)

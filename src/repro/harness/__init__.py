@@ -12,7 +12,7 @@ from .experiments import (
     run_cpu_task,
     run_web,
 )
-from .figures import FIGURES, figure_ids, run_figure
+from .figures import CELL_MODEL, figure_ids, run_figure
 from .report import Check, FigureResult, Table
 from .scenario import Scenario, build_scenario
 from .validate import EquivalenceReport, assert_equivalent, check_equivalent
@@ -28,7 +28,7 @@ __all__ = [
     "CpuResult",
     "default_queue_packets",
     "relative_error",
-    "FIGURES",
+    "CELL_MODEL",
     "figure_ids",
     "run_figure",
     "Table",

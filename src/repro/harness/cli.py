@@ -19,11 +19,12 @@ the engine profiler is a per-process singleton, so it cannot span a pool.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional
 
-from .figures import FIGURES, figure_ids, run_figure
+from .figures import CELL_MODEL, figure_ids, run_figure
 from .runner import DEFAULT_CACHE_DIR, run_sweep
 
 __all__ = ["main"]
@@ -139,6 +140,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(result, args: argparse.Namespace,
+            wall_s: Optional[float] = None) -> int:
+    """Print one figure (and write its CSV); 1 if a check failed, else 0."""
+    print(result.render())
+    if wall_s is not None:
+        print(f"  ({wall_s:.1f} s wall)")
+    if args.csv:
+        os.makedirs(args.csv, exist_ok=True)
+        print(f"  csv: {result.write_csv(args.csv)}")
+    print()
+    return 0 if result.all_passed else 1
+
+
+def _finish(failures: int) -> int:
+    if failures:
+        print(f"{failures} experiment(s) had failing checks", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _run_profiled(requested: List[str], args: argparse.Namespace) -> int:
     """The classic sequential path: one profiled figure at a time."""
     failures = 0
@@ -150,22 +171,26 @@ def _run_profiled(requested: List[str], args: argparse.Namespace) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        elapsed = time.time() - started
-        print(result.render())
-        print(f"  ({elapsed:.1f} s wall)")
-        if args.csv:
-            import os
+        failures += _report(result, args, time.time() - started)
+    return _finish(failures)
 
-            os.makedirs(args.csv, exist_ok=True)
-            path = result.write_csv(args.csv)
-            print(f"  csv: {path}")
-        print()
-        if not result.all_passed:
-            failures += 1
-    if failures:
-        print(f"{failures} experiment(s) had failing checks", file=sys.stderr)
-        return 1
-    return 0
+
+def _parse_specs(args: argparse.Namespace):
+    """Parse the three spec flags up front: (trace, schedule) specs.
+
+    ``--impair`` is only validated here (figures take it as a string),
+    so a malformed spec of any kind fails before a cell runs.
+    """
+    from ..simnet.impairments import ImpairmentSpec
+    from ..simnet.schedule import ScheduleSpec
+    from ..trace.spec import TraceSpec
+
+    if args.impair is not None:
+        ImpairmentSpec.parse(args.impair)
+    trace = None if args.trace is None else TraceSpec.parse(args.trace)
+    schedule = (None if args.schedule is None
+                else ScheduleSpec.parse(args.schedule))
+    return trace, schedule
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -173,56 +198,36 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list or not args.figures:
         print("available experiments:")
-        for figure_id in figure_ids():
-            doc = (FIGURES[figure_id].__doc__ or "").strip().splitlines()[0]
-            print(f"  {figure_id:10s} {doc}")
+        for figure_id, model in CELL_MODEL.items():
+            summary = model.description.strip().partition("\n")[0]
+            print(f"  {figure_id:10s} {summary}")
         return 0
     requested = figure_ids() if args.figures == ["all"] else args.figures
     for figure_id in requested:
-        if figure_id not in FIGURES:
+        if figure_id not in CELL_MODEL:
             print(f"unknown figure {figure_id!r}; use --list", file=sys.stderr)
             return 2
-    if args.profile_engine and args.trace:
-        print("--trace cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
-        return 2
     if args.shards < 1:
         print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
         return 2
-    if args.profile_engine and args.shards != 1:
-        print("--shards cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
-        return 2
-    if args.profile_engine and args.fidelity != "packet":
-        print("--fidelity cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
-        return 2
-    if args.profile_engine and args.schedule:
-        print("--schedule cannot be combined with --profile-engine "
-              "(the profiled path bypasses the cell sweep)", file=sys.stderr)
+    try:
+        trace_spec, schedule_spec = _parse_specs(args)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
         return 2
     if args.profile_engine:
+        axes = [flag for flag, used in (
+            ("--trace", trace_spec), ("--shards", args.shards != 1),
+            ("--fidelity", args.fidelity != "packet"),
+            ("--schedule", schedule_spec),
+        ) if used]
+        if axes:
+            print(f"{axes[0]} cannot be combined with --profile-engine "
+                  "(the profiled path bypasses the cell sweep)",
+                  file=sys.stderr)
+            return 2
         return _run_profiled(requested, args)
 
-    schedule_spec = None
-    if args.schedule:
-        from ..simnet.errors import ConfigurationError
-        from ..simnet.schedule import ScheduleSpec
-
-        try:
-            schedule_spec = ScheduleSpec.parse(args.schedule)
-        except ConfigurationError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-    trace_spec = None
-    if args.trace:
-        from ..trace.spec import TraceSpec
-
-        try:
-            trace_spec = TraceSpec.parse(args.trace)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
     cache_dir = None if args.no_cache else args.cache_dir
     try:
         outcome = run_sweep(
@@ -239,21 +244,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    failures = 0
-    for result in outcome.figures:
-        print(result.render())
-        if args.csv:
-            import os
-
-            os.makedirs(args.csv, exist_ok=True)
-            path = result.write_csv(args.csv)
-            print(f"  csv: {path}")
-        print()
-        if not result.all_passed:
-            failures += 1
+    failures = sum(_report(result, args) for result in outcome.figures)
     if trace_spec is not None:
-        import os
-
         from ..trace.events import save_jsonl
 
         os.makedirs(args.trace_dir, exist_ok=True)
@@ -275,10 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.timings:
         print()
         print(outcome.timings_table())
-    if failures:
-        print(f"{failures} experiment(s) had failing checks", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(failures)
 
 
 if __name__ == "__main__":  # pragma: no cover

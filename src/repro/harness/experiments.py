@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..apps.bittorrent import PeerConfig, TorrentMeta, build_swarm
 from ..apps.bittorrent.swarm import salt_fraction
@@ -34,7 +34,6 @@ from ..simnet.impairments import ImpairmentSpec
 from ..simnet.queues import DropTailQueue
 from ..simnet.schedule import ScheduleSpec
 from ..simnet.topology import Network, build_dumbbell, partition_network
-from ..simnet.trace import PacketTrace
 from ..trace.recorder import FlightRecorder
 from ..trace.spec import TraceSpec
 from ..tcp.options import TcpOptions
@@ -62,8 +61,6 @@ __all__ = [
     "default_queue_packets",
     "relative_error",
     "RUNNERS",
-    "FLUID_RUNNERS",
-    "SCHEDULE_RUNNERS",
 ]
 
 #: Frame size used for queue-sizing arithmetic (MSS + headers).
@@ -104,6 +101,41 @@ def _build_driver(realtime, sim, recorder) -> Optional[RealtimeDriver]:
         return None
     config = realtime if isinstance(realtime, RealtimeConfig) else None
     return RealtimeDriver(sim, config=config, recorder=recorder)
+
+
+def _build_recorder(
+    trace: TraceSpec,
+    ctx,
+    sim,
+    name: str,
+    points: Mapping[str, Tuple[Any, Any]],
+    clock,
+    clock_node,
+    clock_label: str,
+) -> FlightRecorder:
+    """The run's flight recorder, built from ``trace``.
+
+    ``points`` maps each trace point to ``(interface, owning node)``.
+    Every attachment is made only on the shard that owns its node, so a
+    merged sharded trace has no duplicates. The recorder stamps virtual
+    time on ``clock`` and records its epoch changes as ``clock_label``.
+    """
+    if trace.timers and ctx.shards != 1:
+        _check_sharded_trace(trace)
+    recorder = FlightRecorder(
+        capacity=trace.capacity,
+        clock=clock,
+        name=f"{name}:{trace.point}",
+        packet_kinds=trace.kinds,
+    )
+    interface, owner = points[trace.point]
+    if ctx.owns(owner):
+        recorder.attach_interface(interface)
+    if ctx.owns(clock_node):
+        recorder.attach_clock(clock, label=clock_label)
+    if trace.timers:
+        recorder.attach_engine(sim)
+    return recorder
 
 
 def relative_error(measured: float, reference: float) -> float:
@@ -255,21 +287,8 @@ def run_bulk(
     _check_fidelity(fidelity)
     _check_realtime(realtime, shards, _shard)
     if shards != 1 and _shard is None:
-        _check_sharded_trace(trace)
-        results, stats = run_sharded(
-            "run_bulk",
-            dict(
-                perceived=perceived, tdf=tdf, duration_s=duration_s,
-                flows=flows, flavor=flavor, queue_packets=queue_packets,
-                warmup_s=warmup_s,
-                collect_interarrivals=collect_interarrivals,
-                sack=sack, mss=mss, impair=impair, schedule=schedule,
-                trace=trace, fidelity=fidelity,
-            ),
-            shards,
-            _bulk_assignment(flows, shards),
-        )
-        return _merge_bulk(results, stats)
+        return _run_sharded("run_bulk", locals(),
+                            _bulk_assignment(flows, shards), _merge_bulk)
     factor = as_tdf(tdf)
     physical = physical_for(perceived, factor)
     access_physical = physical_for(
@@ -348,40 +367,23 @@ def run_bulk(
             if ctx.owns(bell.senders[index])
             else None
         )
-    packet_trace = None
+    arrivals = None
     if collect_interarrivals and ctx.owns(bell.receivers[0]):
-        packet_trace = PacketTrace(
-            bell.receiver_links[0].b_to_a, kinds=("rx",), flow_id="flow0"
-        )
+        # Unbounded, so no arrival of the measured window is evicted.
+        arrivals = FlightRecorder(capacity=None, name="interarrivals",
+                                  packet_kinds=("rx",), flow_id="flow0")
+        arrivals.attach_interface(bell.receiver_links[0].b_to_a)
     assert receiver_vm is not None
-    recorder = None
-    if trace is not None:
-        if trace.timers and ctx.shards != 1:
-            _check_sharded_trace(trace)
-        recorder = FlightRecorder(
-            capacity=trace.capacity,
-            clock=receiver_vm.clock,
-            name=f"bulk:{trace.point}",
-            packet_kinds=trace.kinds,
-        )
-        points = {
-            "bottleneck": bottleneck_egress,
-            "reverse": bell.bottleneck.interface_from(bell.router_right),
-            "receiver": bell.receiver_links[0].b_to_a,
-        }
-        # Each attachment point belongs to exactly one node; attach only
-        # on its owning shard so the merged trace has no duplicates.
-        point_nodes = {
-            "bottleneck": bell.router_left,
-            "reverse": bell.router_right,
-            "receiver": bell.receivers[0],
-        }
-        if ctx.owns(point_nodes[trace.point]):
-            recorder.attach_interface(points[trace.point])
-        if ctx.owns(bell.receivers[0]):
-            recorder.attach_clock(receiver_vm.clock, label="rcv0")
-        if trace.timers:
-            recorder.attach_engine(net.sim)
+    recorder = None if trace is None else _build_recorder(
+        trace, ctx, net.sim, "bulk",
+        {
+            "bottleneck": (bottleneck_egress, bell.router_left),
+            "reverse": (bell.bottleneck.interface_from(bell.router_right),
+                        bell.router_right),
+            "receiver": (bell.receiver_links[0].b_to_a, bell.receivers[0]),
+        },
+        receiver_vm.clock, bell.receivers[0], "rcv0",
+    )
     for client in clients:
         if client is not None:
             client.start()
@@ -396,8 +398,8 @@ def run_bulk(
             server.total_bytes if server is not None else 0
             for server in servers
         ]
-        if packet_trace is not None:
-            packet_trace.clear()
+        if arrivals is not None:
+            arrivals.clear()
     advance(receiver_vm.clock.to_physical(duration_s))
     span = duration_s - warmup_s
     per_flow = [
@@ -408,8 +410,10 @@ def run_bulk(
                     for server, start in zip(servers, warmup_bytes)
                     if server is not None)
     interarrivals: List[float] = []
-    if packet_trace is not None:
-        interarrivals = packet_trace.interarrivals(receiver_vm.clock)
+    if arrivals is not None:
+        to_local = receiver_vm.clock.to_local
+        stamps = [to_local(event.physical_time) for event in arrivals]
+        interarrivals = [b - a for a, b in zip(stamps, stamps[1:])]
     live = [c for c in clients if c is not None]
     first = clients[0].socket if clients[0] is not None else None
     return BulkFlowResult(
@@ -630,22 +634,9 @@ def run_bittorrent(
     _check_fidelity(fidelity)
     _check_realtime(realtime, shards, _shard)
     if shards != 1 and _shard is None:
-        _check_sharded_trace(trace)
-        results, stats = run_sharded(
-            "run_bittorrent",
-            dict(
-                perceived_leaf=perceived_leaf, tdf=tdf, leechers=leechers,
-                file_bytes=file_bytes, seed=seed, piece_bytes=piece_bytes,
-                horizon_s=horizon_s, choke_interval_s=choke_interval_s,
-                impair=impair, impair_tracker=impair_tracker,
-                schedule=schedule, trace=trace,
-                delay_salt=delay_salt, timer_salt=timer_salt,
-                fidelity=fidelity,
-            ),
-            shards,
-            _swarm_assignment(leechers, shards),
-        )
-        return _merge_bittorrent(results, stats)
+        return _run_sharded("run_bittorrent", locals(),
+                            _swarm_assignment(leechers, shards),
+                            _merge_bittorrent)
     factor = as_tdf(tdf)
     physical = physical_for(perceived_leaf, factor)
     net = Network()
@@ -716,32 +707,15 @@ def run_bittorrent(
         include=ctx.owns if _shard is not None else None,
         timer_salt=timer_salt,
     )
-    recorder = None
-    if trace is not None:
-        if trace.timers and ctx.shards != 1:
-            _check_sharded_trace(trace)
-        recorder = FlightRecorder(
-            capacity=trace.capacity,
-            clock=vms[2].clock,
-            name=f"swarm:{trace.point}",
-            packet_kinds=trace.kinds,
-        )
-        points = {
-            "bottleneck": seed_link.interface_from(leaves[1]),
-            "reverse": seed_link.interface_from(hub),
-            "receiver": first_leecher_link.interface_from(hub),
-        }
-        point_nodes = {
-            "bottleneck": leaves[1],
-            "reverse": hub,
-            "receiver": hub,
-        }
-        if ctx.owns(point_nodes[trace.point]):
-            recorder.attach_interface(points[trace.point])
-        if ctx.owns(leaves[2]):
-            recorder.attach_clock(vms[2].clock, label="leecher0")
-        if trace.timers:
-            recorder.attach_engine(net.sim)
+    recorder = None if trace is None else _build_recorder(
+        trace, ctx, net.sim, "swarm",
+        {
+            "bottleneck": (seed_link.interface_from(leaves[1]), leaves[1]),
+            "reverse": (seed_link.interface_from(hub), hub),
+            "receiver": (first_leecher_link.interface_from(hub), hub),
+        },
+        vms[2].clock, leaves[2], "leecher0",
+    )
     swarm.start()
     clock = vms[0].clock
     driver = _build_driver(realtime, net.sim, recorder)
@@ -1314,6 +1288,21 @@ def _check_sharded_trace(trace: Optional[TraceSpec]) -> None:
         )
 
 
+def _run_sharded(runner: str, params: Dict[str, Any],
+                 assignment: Dict[str, int], merge: Callable) -> Any:
+    """A runner's parent-side sharded path: guard, fan out, merge.
+
+    ``params`` are the runner's own arguments (its ``locals()`` on
+    entry); every one except the execution knobs is forwarded to each
+    worker, which re-enters the runner under its shard context.
+    """
+    _check_sharded_trace(params["trace"])
+    kwargs = {key: value for key, value in params.items()
+              if key not in ("shards", "realtime", "_shard")}
+    results, stats = run_sharded(runner, kwargs, params["shards"], assignment)
+    return merge(results, stats)
+
+
 def _bulk_assignment(flows: int, shards: int) -> Dict[str, int]:
     """Split the dumbbell at the bottleneck: senders left, receivers right.
 
@@ -1446,7 +1435,10 @@ def _merge_bittorrent(results: List[BitTorrentResult],
 #: function of its keyword arguments — it builds its own Network/Simulator,
 #: runs to completion, and returns a picklable result dataclass — which is
 #: exactly what lets a cell execute in any process, in any order, with
-#: bit-identical results.
+#: bit-identical results. A runner's keyword parameters are also its
+#: sweep-axis capabilities: it takes ``trace``, ``shards``, ``fidelity``,
+#: ``schedule`` or ``delay_salt`` exactly when its signature names them
+#: (see :func:`repro.harness.runner.accepts`).
 RUNNERS = {
     "run_bulk": run_bulk,
     "run_web": run_web,
@@ -1458,11 +1450,3 @@ RUNNERS = {
     "run_guest_build_job": run_guest_build_job,
     "run_dynamic_tdf": run_dynamic_tdf,
 }
-
-#: Runners that accept the ``fidelity=`` axis (hybrid fluid/packet
-#: engine); the sweep runner's ``--fidelity hybrid`` rewrites only these.
-FLUID_RUNNERS = frozenset({"run_bulk", "run_bittorrent"})
-
-#: Runners that accept the ``schedule=`` axis (dynamic-topology link
-#: schedules); the sweep runner's ``--schedule`` rewrites only these.
-SCHEDULE_RUNNERS = frozenset({"run_bulk", "run_bittorrent", "run_starlink"})

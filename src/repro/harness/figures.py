@@ -1,20 +1,21 @@
 """The per-figure experiment registry.
 
-One function per table/figure of the paper's evaluation (reconstructed —
-see DESIGN.md's mismatch note). Each returns a
+One entry per table/figure of the paper's evaluation (reconstructed —
+see DESIGN.md's mismatch note), each producing a
 :class:`~repro.harness.report.FigureResult` carrying the paper-style rows
 plus machine-checked *shape* assertions: dilated-vs-baseline agreement,
 who wins, where knees fall. Benchmarks and the CLI both consume this
 registry.
 
-Since the parallel sweep runner, every figure exists in a two-phase form
-(:data:`CELL_MODEL`): ``cells()`` enumerates the figure's independent
-simulations as picklable :class:`~repro.harness.runner.CellSpec`\\ s and
-``assemble(results)`` folds their results into the FigureResult. The
-classic one-shot functions in :data:`FIGURES` are thin wrappers that
-execute their own cells in-process and assemble — same code path, same
-bytes — so ``run_figure`` behaves exactly as it always did while
-``repro-figure --jobs N`` fans the same cells out across processes.
+Every figure is registered once, in :data:`CELL_MODEL`, in its two-phase
+form: ``cells()`` enumerates the figure's independent simulations as
+picklable :class:`~repro.harness.runner.CellSpec`\\ s and
+``assemble(results)`` folds their results into the FigureResult. Each
+section registers its assemble function with :func:`_figure`, whose
+docstring becomes the entry's ``description``. :func:`run_figure`
+executes one figure's cells in-process and assembles — the same cells,
+the same bytes — while ``repro-figure --jobs N`` fans them out across
+processes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .experiments import relative_error
 from .report import FigureResult, Table
 from .runner import CellSpec, FigureCells, execute_cells_inline
 
-__all__ = ["FIGURES", "CELL_MODEL", "figure_ids", "run_figure"]
+__all__ = ["CELL_MODEL", "figure_ids", "run_figure"]
 
 #: Agreement tolerance between a dilated run and its scaled baseline.
 #: The substrate is deterministic, so this is float-jitter headroom only.
@@ -46,6 +47,28 @@ EQUIVALENCE_TOLERANCE = 0.02
 #: bit-identically under dilation, so runs normally land at 0 error; the
 #: 5% headroom covers retransmit-count quantisation on short windows.
 LOSSY_TOLERANCE = 0.05
+
+
+#: Every figure in its two-phase (cells, assemble) form, in paper order —
+#: the one registry the sweep runner, ``run_figure`` and ``repro-figure
+#: --list`` read. Each section below registers its figure with
+#: :func:`_figure`.
+CELL_MODEL: Dict[str, FigureCells] = {}
+
+
+def _figure(figure_id: str, cells: Callable[..., List[CellSpec]],
+            has_impair_axis: bool = False):
+    """Register the decorated assemble function as ``figure_id`` in
+    :data:`CELL_MODEL`; its docstring becomes the entry's description."""
+
+    def register(assemble: Callable[..., FigureResult]):
+        CELL_MODEL[figure_id] = FigureCells(
+            cells, assemble, has_impair_axis,
+            description=assemble.__doc__ or "",
+        )
+        return assemble
+
+    return register
 
 
 def _cell(figure_id: str, key: str, runner: str, **kwargs: Any) -> CellSpec:
@@ -59,7 +82,9 @@ def _table1_cells() -> List[CellSpec]:
     return []  # pure arithmetic — nothing to simulate
 
 
+@_figure("table1", _table1_cells)
 def _table1_assemble(results: Mapping[str, Any]) -> FigureResult:
+    """Table 1: what a fixed physical testbed looks like under dilation."""
     physical = NetworkProfile(mbps(100), ms(10), cpu_cycles_per_second=1e9)
     rows = resource_scaling_rows(physical, tdfs=[1, 10, 100, 1000])
     table = Table(
@@ -93,11 +118,6 @@ def _table1_assemble(results: Mapping[str, Any]) -> FigureResult:
     return result
 
 
-def table1_resource_scaling() -> FigureResult:
-    """Table 1: what a fixed physical testbed looks like under dilation."""
-    return _run_inline("table1")
-
-
 # =============================================================== table2
 
 _TABLE2_CASES = [
@@ -115,7 +135,9 @@ def _table2_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("table2", _table2_cells)
 def _table2_assemble(results: Mapping[str, Any]) -> FigureResult:
+    """Table 2: CPU-bound task timing with and without share compensation."""
     table = Table(
         ["TDF", "VMM share", "virtual time", "physical time",
          "perceived speedup"],
@@ -161,11 +183,6 @@ def _table2_assemble(results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def table2_cpu_dilation() -> FigureResult:
-    """Table 2: CPU-bound task timing with and without share compensation."""
-    return _run_inline("table2")
-
-
 # ================================================================= fig3
 
 _FIG3_RTTS_MS = [10, 20, 40, 80, 160]
@@ -182,7 +199,9 @@ def _fig3_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("fig3", _fig3_cells)
 def _fig3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 3: TCP throughput vs RTT; dilated curves coincide with TDF 1."""
     rtts_ms = _FIG3_RTTS_MS
     tdfs = _FIG3_TDFS
     table = Table(
@@ -226,11 +245,6 @@ def _fig3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig3_throughput_vs_rtt() -> FigureResult:
-    """Figure 3: TCP throughput vs RTT; dilated curves coincide with TDF 1."""
-    return _run_inline("fig3")
-
-
 # ================================================================= fig4
 
 _FIG4_BANDWIDTHS_MBPS = [1, 10, 50, 200]
@@ -247,7 +261,9 @@ def _fig4_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("fig4", _fig4_cells)
 def _fig4_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 4: TCP throughput vs perceived bottleneck bandwidth."""
     bandwidths_mbps = _FIG4_BANDWIDTHS_MBPS
     tdfs = _FIG4_TDFS
     table = Table(
@@ -293,11 +309,6 @@ def _fig4_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig4_throughput_vs_bandwidth() -> FigureResult:
-    """Figure 4: TCP throughput vs perceived bottleneck bandwidth."""
-    return _run_inline("fig4")
-
-
 # ================================================================= fig5
 
 _FIG5_TDFS = [1, 10, 100]
@@ -313,7 +324,9 @@ def _fig5_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("fig5", _fig5_cells)
 def _fig5_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 5: packet interarrival distribution preserved under dilation."""
     perceived = NetworkProfile.from_rtt(mbps(10), ms(40))
     tdfs = _FIG5_TDFS
     runs = {k: cell_results[f"tdf{k}"] for k in tdfs}
@@ -348,11 +361,6 @@ def _fig5_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig5_interarrival_distribution() -> FigureResult:
-    """Figure 5: packet interarrival distribution preserved under dilation."""
-    return _run_inline("fig5")
-
-
 # ================================================================= fig6
 
 
@@ -375,7 +383,9 @@ def _fig6_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("fig6", _fig6_cells)
 def _fig6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 6: bottleneck sharing among competing flows is preserved."""
     tdfs = _FIG6_TDFS
     flows = _FIG6_FLOWS
     runs = {k: cell_results[f"tdf{k}"] for k in tdfs}
@@ -413,11 +423,6 @@ def _fig6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
         runs[1].goodput_bps >= 0.7 * mbps(50),
     )
     return figure
-
-
-def fig6_multiflow_fairness() -> FigureResult:
-    """Figure 6: bottleneck sharing among competing flows is preserved."""
-    return _run_inline("fig6")
 
 
 # ============================================================ fig7 / fig8
@@ -458,7 +463,9 @@ def _fig7_cells() -> List[CellSpec]:
     return _web_cells("fig7")
 
 
+@_figure("fig7", _fig7_cells)
 def _fig7_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 7: web server throughput vs offered load, TDF 1 vs 10."""
     sweep = _web_sweep(cell_results)
     table = Table(
         ["offered (req/s)", "TDF 1 (req/s)", "TDF 10 (req/s)", "rel err"],
@@ -496,16 +503,13 @@ def _fig7_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig7_web_throughput() -> FigureResult:
-    """Figure 7: web server throughput vs offered load, TDF 1 vs 10."""
-    return _run_inline("fig7")
-
-
 def _fig8_cells() -> List[CellSpec]:
     return _web_cells("fig8")
 
 
+@_figure("fig8", _fig8_cells)
 def _fig8_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 8: response time vs offered load, TDF 1 vs 10."""
     sweep = _web_sweep(cell_results)
     table = Table(
         ["offered (req/s)", "TDF 1 mean (ms)", "TDF 10 mean (ms)",
@@ -553,11 +557,6 @@ def _fig8_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig8_web_response_time() -> FigureResult:
-    """Figure 8: response time vs offered load, TDF 1 vs 10."""
-    return _run_inline("fig8")
-
-
 # ================================================================= fig9
 
 
@@ -570,7 +569,9 @@ def _fig9_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("fig9", _fig9_cells)
 def _fig9_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 9: BitTorrent download-time CDF, TDF 1 vs 10."""
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
     table = Table(
@@ -634,11 +635,6 @@ def _fig9_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig9_bittorrent_cdf() -> FigureResult:
-    """Figure 9: BitTorrent download-time CDF, TDF 1 vs 10."""
-    return _run_inline("fig9")
-
-
 # ================================================================ fig10
 
 _FIG10_TARGETS_GBPS = (2.5, 5.0, 10.0)
@@ -658,7 +654,14 @@ def _fig10_cells() -> List[CellSpec]:
     return cells
 
 
+@_figure("fig10", _fig10_cells)
 def _fig10_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Figure 10: emulating multi-gigabit paths on sub-gigabit 'hardware'.
+
+    The headline trick: at TDF 10 the physical substrate never carries
+    more than one tenth of the perceived rate, yet the guests observe (and
+    TCP fills) a 10 Gbps path — hardware that, in 2006, did not exist.
+    """
     tdf = _FIG10_TDF
     table = Table(
         ["perceived b/w", "physical b/w", "TDF 1 (Gbps)", "TDF 10 (Gbps)",
@@ -696,16 +699,6 @@ def _fig10_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def fig10_beyond_gigabit() -> FigureResult:
-    """Figure 10: emulating multi-gigabit paths on sub-gigabit 'hardware'.
-
-    The headline trick: at TDF 10 the physical substrate never carries
-    more than one tenth of the perceived rate, yet the guests observe (and
-    TCP fills) a 10 Gbps path — hardware that, in 2006, did not exist.
-    """
-    return _run_inline("fig10")
-
-
 # ============================================================ ablation1
 
 
@@ -724,7 +717,14 @@ def _ablation1_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("ablation1", _ablation1_cells)
 def _ablation1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Ablation A1: dilation without rescaling the physical network is wrong.
+
+    Negative control for every equivalence check above: run TDF 10 guests
+    over the *unscaled* target network. Guests then perceive a 10x-faster,
+    10x-shorter path than the target, and results diverge from baseline.
+    """
     base = cell_results["base"]
     wrong = cell_results["wrong"]
     table = Table(
@@ -748,16 +748,6 @@ def _ablation1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ablation_misscaled() -> FigureResult:
-    """Ablation A1: dilation without rescaling the physical network is wrong.
-
-    Negative control for every equivalence check above: run TDF 10 guests
-    over the *unscaled* target network. Guests then perceive a 10x-faster,
-    10x-shorter path than the target, and results diverge from baseline.
-    """
-    return _run_inline("ablation1")
-
-
 # ============================================================ ablation2
 
 
@@ -769,7 +759,9 @@ def _ablation2_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("ablation2", _ablation2_cells)
 def _ablation2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Ablation A2: changing the TDF at runtime re-scales perception live."""
     run = cell_results["schedule"]
     rate1, rate2 = run.phase_rates_bps
     table = Table(
@@ -788,11 +780,6 @@ def _ablation2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ablation_dynamic_tdf() -> FigureResult:
-    """Ablation A2: changing the TDF at runtime re-scales perception live."""
-    return _run_inline("ablation2")
-
-
 # ================================================================= ext1
 
 
@@ -805,7 +792,14 @@ def _ext1_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("ext1", _ext1_cells)
 def _ext1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E1: equivalence holds with competing cross traffic.
+
+    The paper's validation used clean paths; real experiments share links.
+    A TCP flow competes with a CBR stream at 30% of the bottleneck; both
+    run inside dilated guests, and the dilated run must match baseline.
+    """
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
     table = Table(
@@ -834,16 +828,6 @@ def _ext1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext1_cross_traffic() -> FigureResult:
-    """Extension E1: equivalence holds with competing cross traffic.
-
-    The paper's validation used clean paths; real experiments share links.
-    A TCP flow competes with a CBR stream at 30% of the bottleneck; both
-    run inside dilated guests, and the dilated run must match baseline.
-    """
-    return _run_inline("ext1")
-
-
 # ================================================================= ext2
 
 
@@ -856,7 +840,14 @@ def _ext2_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("ext2", _ext2_cells)
 def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E2: multiple dilated guests multiplexed on one machine.
+
+    The paper ran several dilated VMs per physical host. Three guest
+    senders share one machine uplink; contention for the shared NIC must
+    be perceived identically under dilation.
+    """
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
     table = Table(
@@ -895,16 +886,6 @@ def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext2_consolidation() -> FigureResult:
-    """Extension E2: multiple dilated guests multiplexed on one machine.
-
-    The paper ran several dilated VMs per physical host. Three guest
-    senders share one machine uplink; contention for the shared NIC must
-    be perceived identically under dilation.
-    """
-    return _run_inline("ext2")
-
-
 # ================================================================= ext3
 
 
@@ -920,7 +901,16 @@ def _ext3_cells() -> List[CellSpec]:
     ]
 
 
+@_figure("ext3", _ext3_cells)
 def _ext3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E3: a mixed-resource guest program, phase by phase.
+
+    A "build job" (disk read → compile → disk write → TCP upload) inside a
+    guest, timed with the guest's own clock. With CPU and disk compensated
+    (1/TDF share/throttle) every phase matches the baseline; without
+    compensation CPU and disk appear TDF-times faster while the network
+    phase — the thing being emulated — stays on target.
+    """
     base = cell_results["base"]
     compensated = cell_results["compensated"]
     uncompensated = cell_results["uncompensated"]
@@ -969,18 +959,6 @@ def _ext3_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext3_guest_program() -> FigureResult:
-    """Extension E3: a mixed-resource guest program, phase by phase.
-
-    A "build job" (disk read → compile → disk write → TCP upload) inside a
-    guest, timed with the guest's own clock. With CPU and disk compensated
-    (1/TDF share/throttle) every phase matches the baseline; without
-    compensation CPU and disk appear TDF-times faster while the network
-    phase — the thing being emulated — stays on target.
-    """
-    return _run_inline("ext3")
-
-
 # ================================================================= ext4
 
 _EXT4_TDFS = [5, 10]
@@ -1008,8 +986,19 @@ def _ext4_cells(impair: Optional[str] = None) -> List[CellSpec]:
     return cells
 
 
+@_figure("ext4", _ext4_cells, has_impair_axis=True)
 def _ext4_assemble(cell_results: Mapping[str, Any],
                    impair: Optional[str] = None) -> FigureResult:
+    """Extension E4: dilation equivalence over a lossy physical path.
+
+    The paper's validation matters most where the network misbehaves. A
+    TDF-k guest over an impaired bottleneck must reproduce the scaled
+    baseline's goodput and retransmit counts: per-packet impairment
+    decisions are seed-deterministic and time-free, so the dilated run
+    faces the identical loss pattern. Default matrix: Bernoulli p=1% and
+    an equivalent-rate Gilbert–Elliott burst model, TDF ∈ {5, 10}; pass an
+    ``--impair`` spec to run a single custom impairment instead.
+    """
     specs = _ext4_specs(impair)
     tdfs = _EXT4_TDFS
     table = Table(
@@ -1063,20 +1052,6 @@ def _ext4_assemble(cell_results: Mapping[str, Any],
     return figure
 
 
-def ext4_lossy_equivalence(impair: Optional[str] = None) -> FigureResult:
-    """Extension E4: dilation equivalence over a lossy physical path.
-
-    The paper's validation matters most where the network misbehaves. A
-    TDF-k guest over an impaired bottleneck must reproduce the scaled
-    baseline's goodput and retransmit counts: per-packet impairment
-    decisions are seed-deterministic and time-free, so the dilated run
-    faces the identical loss pattern. Default matrix: Bernoulli p=1% and
-    an equivalent-rate Gilbert–Elliott burst model, TDF ∈ {5, 10}; pass an
-    ``--impair`` spec to run a single custom impairment instead.
-    """
-    return _run_inline("ext4", impair=impair)
-
-
 # ================================================================= ext5
 
 _EXT5_TDF = 10
@@ -1119,8 +1094,19 @@ def _ext5_cells(impair: Optional[str] = None) -> List[CellSpec]:
     return cells
 
 
+@_figure("ext5", _ext5_cells, has_impair_axis=True)
 def _ext5_assemble(cell_results: Mapping[str, Any],
                    impair: Optional[str] = None) -> FigureResult:
+    """Extension E5: the BitTorrent macro-benchmark at swarm scale.
+
+    Sweeps swarm size (25/100/250 leechers) x TDF {1, 10} on a dilated
+    star and compares download-completion-time CDF quantiles on the
+    virtual-time axis — the paper's headline swarm experiment grown to
+    population sizes where tracker lifecycle bugs and quadratic peer hot
+    paths used to hang or dominate. Pass ``--impair`` (e.g. a
+    Gilbert–Elliott spec) to run the same sweep with the seed's uplink
+    impaired.
+    """
     from .validate import compare_metrics
 
     table = Table(
@@ -1195,20 +1181,6 @@ def _ext5_assemble(cell_results: Mapping[str, Any],
     return figure
 
 
-def ext5_swarm_scale(impair: Optional[str] = None) -> FigureResult:
-    """Extension E5: the BitTorrent macro-benchmark at swarm scale.
-
-    Sweeps swarm size (25/100/250 leechers) x TDF {1, 10} on a dilated
-    star and compares download-completion-time CDF quantiles on the
-    virtual-time axis — the paper's headline swarm experiment grown to
-    population sizes where tracker lifecycle bugs and quadratic peer hot
-    paths used to hang or dominate. Pass ``--impair`` (e.g. a
-    Gilbert–Elliott spec) to run the same sweep with the seed's uplink
-    impaired.
-    """
-    return _run_inline("ext5", impair=impair)
-
-
 # ================================================================= ext6
 
 _EXT6_TDF = 10
@@ -1258,7 +1230,18 @@ def _ext6_cells() -> List[CellSpec]:
     return cells
 
 
+@_figure("ext6", _ext6_cells)
 def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
+    """Extension E6: dilation equivalence on a time-varying topology.
+
+    A Starlink-like path whose space segment follows a synthesized LEO
+    handover schedule (periodic outages, delay steps, capacity dips —
+    all indexed by *virtual* time). Sweeps TDF {1, 10} x two traces for
+    a media stream with a competing bulk TCP flow, plus a small
+    BitTorrent swarm whose seed uplink rides the same schedule, and
+    gates frame-delay / completion-time CDF quantiles and KS distance
+    on the virtual axis.
+    """
     from .validate import compare_metrics
 
     table = Table(
@@ -1411,66 +1394,7 @@ def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     return figure
 
 
-def ext6_starlink() -> FigureResult:
-    """Extension E6: dilation equivalence on a time-varying topology.
-
-    A Starlink-like path whose space segment follows a synthesized LEO
-    handover schedule (periodic outages, delay steps, capacity dips —
-    all indexed by *virtual* time). Sweeps TDF {1, 10} x two traces for
-    a media stream with a competing bulk TCP flow, plus a small
-    BitTorrent swarm whose seed uplink rides the same schedule, and
-    gates frame-delay / completion-time CDF quantiles and KS distance
-    on the virtual axis.
-    """
-    return _run_inline("ext6")
-
-
-# ============================================================== registry
-
-
-FIGURES: Dict[str, Callable[[], FigureResult]] = {
-    "table1": table1_resource_scaling,
-    "table2": table2_cpu_dilation,
-    "fig3": fig3_throughput_vs_rtt,
-    "fig4": fig4_throughput_vs_bandwidth,
-    "fig5": fig5_interarrival_distribution,
-    "fig6": fig6_multiflow_fairness,
-    "fig7": fig7_web_throughput,
-    "fig8": fig8_web_response_time,
-    "fig9": fig9_bittorrent_cdf,
-    "fig10": fig10_beyond_gigabit,
-    "ablation1": ablation_misscaled,
-    "ablation2": ablation_dynamic_tdf,
-    "ext1": ext1_cross_traffic,
-    "ext2": ext2_consolidation,
-    "ext3": ext3_guest_program,
-    "ext4": ext4_lossy_equivalence,
-    "ext5": ext5_swarm_scale,
-    "ext6": ext6_starlink,
-}
-
-#: The two-phase (cells, assemble) form of every figure — what the
-#: parallel sweep runner consumes. Keys match :data:`FIGURES`.
-CELL_MODEL: Dict[str, FigureCells] = {
-    "table1": FigureCells(_table1_cells, _table1_assemble),
-    "table2": FigureCells(_table2_cells, _table2_assemble),
-    "fig3": FigureCells(_fig3_cells, _fig3_assemble),
-    "fig4": FigureCells(_fig4_cells, _fig4_assemble),
-    "fig5": FigureCells(_fig5_cells, _fig5_assemble),
-    "fig6": FigureCells(_fig6_cells, _fig6_assemble),
-    "fig7": FigureCells(_fig7_cells, _fig7_assemble),
-    "fig8": FigureCells(_fig8_cells, _fig8_assemble),
-    "fig9": FigureCells(_fig9_cells, _fig9_assemble),
-    "fig10": FigureCells(_fig10_cells, _fig10_assemble),
-    "ablation1": FigureCells(_ablation1_cells, _ablation1_assemble),
-    "ablation2": FigureCells(_ablation2_cells, _ablation2_assemble),
-    "ext1": FigureCells(_ext1_cells, _ext1_assemble),
-    "ext2": FigureCells(_ext2_cells, _ext2_assemble),
-    "ext3": FigureCells(_ext3_cells, _ext3_assemble),
-    "ext4": FigureCells(_ext4_cells, _ext4_assemble, has_impair_axis=True),
-    "ext5": FigureCells(_ext5_cells, _ext5_assemble, has_impair_axis=True),
-    "ext6": FigureCells(_ext6_cells, _ext6_assemble),
-}
+# ============================================================== execution
 
 
 def _run_inline(figure_id: str, impair: Optional[str] = None) -> FigureResult:
@@ -1485,7 +1409,7 @@ def _run_inline(figure_id: str, impair: Optional[str] = None) -> FigureResult:
 
 def figure_ids() -> List[str]:
     """All known experiment ids, in paper order."""
-    return list(FIGURES)
+    return list(CELL_MODEL)
 
 
 def run_figure(
@@ -1515,7 +1439,7 @@ def run_figure(
         model = CELL_MODEL[figure_id]
     except KeyError:
         raise KeyError(
-            f"unknown figure {figure_id!r}; known: {', '.join(FIGURES)}"
+            f"unknown figure {figure_id!r}; known: {', '.join(CELL_MODEL)}"
         ) from None
     if impair is not None and not model.has_impair_axis:
         raise ValueError(

@@ -16,6 +16,9 @@ This module exploits that:
   are assembled from the result mapping exactly as a sequential run would
   build them, so reports, acceptance checks, and CSV exports are
   byte-identical whatever the parallelism;
+* :func:`apply_axes` — threads the sweep axes (``--trace``, ``--shards``,
+  ``--fidelity``, ``--schedule``) into each cell whose runner's signature
+  takes them (:func:`accepts`), and is the one place an axis is refused;
 * :class:`ResultCache` — a content-addressed on-disk cache
   (``.repro-cache/``), keyed by a hash of the cell spec plus the package
   version, so re-running ``all`` after an interrupt — or after editing
@@ -37,7 +40,9 @@ bit-exact on representative figures.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import inspect
 import os
 import pickle
 import sys
@@ -47,16 +52,20 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..parallel.shard import SHARDABLE_RUNNERS, shard_cell_kwargs
-from ..trace.spec import TRACEABLE_RUNNERS, TraceSpec
+from ..parallel.shard import DEFAULT_DELAY_SALT
+from ..simnet.errors import ConfigurationError
+from ..trace.spec import TraceSpec
 from .report import FigureResult, Table
 
 __all__ = [
+    "AXES",
     "CellSpec",
     "CellTiming",
     "FigureCells",
     "ResultCache",
     "SweepOutcome",
+    "accepts",
+    "apply_axes",
     "canonical",
     "execute_cell",
     "execute_cells_inline",
@@ -163,11 +172,14 @@ class FigureCells:
     receives ``{cell key: runner result}`` and builds the
     :class:`FigureResult` exactly as the sequential path always did.
     Pure-computation figures (table1) enumerate zero cells.
+    ``description`` says what the figure shows; its first line is the
+    ``repro-figure --list`` entry.
     """
 
     enumerate: Callable[..., List[CellSpec]]
     assemble: Callable[..., FigureResult]
     has_impair_axis: bool = False
+    description: str = ""
 
     def cells(self, impair: Optional[str] = None) -> List[CellSpec]:
         if self.has_impair_axis:
@@ -408,107 +420,79 @@ class SweepOutcome:
         return "\n".join(lines)
 
 
-def _apply_trace(cells: List[CellSpec],
-                 trace: TraceSpec) -> Tuple[List[CellSpec], int]:
-    """Thread ``trace`` into every traceable cell; returns (cells, traced).
+#: The sweep axes, each a runner keyword: axis -> (the value that leaves
+#: a cell as it is, the adjective a refusal uses).
+AXES: Dict[str, Tuple[Any, str]] = {
+    "trace": (None, "traceable"),
+    "shards": (1, "shardable"),
+    "fidelity": ("packet", "fluid-capable"),
+    "schedule": (None, "schedule-capable"),
+    "delay_salt": (None, "saltable"),
+}
 
-    A traced cell gets ``kwargs["trace"] = trace`` — a *different* cell
-    (different token) from its untraced twin, so traced results never
-    alias untraced cache entries. Non-traceable runners pass through.
+
+@functools.lru_cache(maxsize=None)
+def accepts(runner: str, axis: str) -> bool:
+    """Whether the runner named ``runner`` takes the keyword ``axis``.
+
+    The runner's own signature is the one source of axis capability. It
+    is read when a sweep or capture is planned, once per pair, and never
+    on a runner's call path.
     """
-    out: List[CellSpec] = []
-    traced = 0
-    for spec in cells:
-        if spec.runner in TRACEABLE_RUNNERS:
-            kwargs = dict(spec.kwargs)
-            kwargs["trace"] = trace
-            out.append(CellSpec(spec.figure_id, spec.key, spec.runner,
-                                kwargs))
-            traced += 1
-        else:
-            out.append(spec)
-    return out, traced
+    from .experiments import RUNNERS
+
+    return axis in inspect.signature(RUNNERS[runner]).parameters
 
 
-def _apply_shards(cells: List[CellSpec],
-                  shards: int) -> Tuple[List[CellSpec], int]:
-    """Thread ``shards`` into every shardable cell; returns (cells, count).
+def apply_axes(cells: List[CellSpec], label: str, every_cell: bool = False,
+               **axes: Any) -> List[CellSpec]:
+    """Thread each requested axis into every cell whose runner takes it.
 
-    Like :func:`_apply_trace`, a sharded cell is a *different* cell from
-    its single-process twin (the token covers kwargs), so sharded results
-    never alias single-process cache entries — even though the merged
-    values are equivalent, their ``shard_stats`` differ (and sharded
-    swarm cells run with the default determinism ``delay_salt``, see
-    :func:`repro.parallel.shard.shard_cell_kwargs`). Non-shardable
-    runners pass through and run single-process.
+    ``axes`` maps names from :data:`AXES` to values; an axis at its
+    neutral value is not requested. A rewritten cell is a *different*
+    cell from its plain twin (the token covers kwargs), so traced,
+    sharded, hybrid or scheduled results never alias plain cache
+    entries. A value the cell already carries is overridden (ext6 bakes
+    in its own schedule; ``--schedule`` replays the figure against the
+    user's). A sharded cell whose runner takes ``delay_salt`` and names
+    none runs with :data:`~repro.parallel.shard.DEFAULT_DELAY_SALT`.
+
+    Every axis refusal is raised here, as one :class:`ConfigurationError`
+    naming, per axis, what could not take it. A sweep refuses an axis
+    that no cell of the figure ``label`` takes; ``every_cell=True``
+    (``repro-trace capture``) also refuses an axis any cell cannot take.
     """
+    from .experiments import RUNNERS
+
+    requested = {axis: value for axis, value in axes.items()
+                 if value != AXES[axis][0]}
+    refused: Dict[str, List[str]] = {axis: [] for axis in requested}
     out: List[CellSpec] = []
-    sharded = 0
     for spec in cells:
-        if spec.runner in SHARDABLE_RUNNERS:
-            out.append(CellSpec(
-                spec.figure_id, spec.key, spec.runner,
-                shard_cell_kwargs(spec.runner, spec.kwargs, shards),
-            ))
-            sharded += 1
+        kwargs = dict(spec.kwargs)
+        for axis, value in requested.items():
+            if accepts(spec.runner, axis):
+                kwargs[axis] = value
+            else:
+                refused[axis].append(spec.key)
+        if ("shards" in requested and accepts(spec.runner, "shards")
+                and accepts(spec.runner, "delay_salt")):
+            kwargs.setdefault("delay_salt", DEFAULT_DELAY_SALT)
+        out.append(CellSpec(spec.figure_id, spec.key, spec.runner, kwargs))
+    problems = []
+    for axis, keys in refused.items():
+        word = AXES[axis][1]
+        if every_cell and keys:
+            problem = f"cell(s) not {word}: {', '.join(keys)}"
+        elif len(keys) == len(cells):
+            problem = f"experiment {label!r} has no {word} cells"
         else:
-            out.append(spec)
-    return out, sharded
-
-
-def _apply_fidelity(cells: List[CellSpec],
-                    fidelity: str) -> Tuple[List[CellSpec], int]:
-    """Thread ``fidelity`` into every fluid-capable cell; returns (cells, count).
-
-    Like :func:`_apply_shards`, a hybrid cell is a *different* cell from
-    its packet twin (the token covers kwargs), so hybrid results never
-    alias packet cache entries — the values are statistically equivalent,
-    not bit-identical, and their ``fluid.*`` counters differ. Runners
-    without the fidelity axis pass through and run packet-level.
-    """
-    from .experiments import FLUID_RUNNERS
-
-    out: List[CellSpec] = []
-    rewritten = 0
-    for spec in cells:
-        if spec.runner in FLUID_RUNNERS:
-            kwargs = dict(spec.kwargs)
-            kwargs["fidelity"] = fidelity
-            out.append(CellSpec(spec.figure_id, spec.key, spec.runner,
-                                kwargs))
-            rewritten += 1
-        else:
-            out.append(spec)
-    return out, rewritten
-
-
-def _apply_schedule(cells: List[CellSpec],
-                    schedule: Any) -> Tuple[List[CellSpec], int]:
-    """Thread ``schedule`` into every schedule-capable cell; returns
-    (cells, count).
-
-    Like :func:`_apply_trace`, a scheduled cell is a *different* cell
-    from its static twin (the token covers kwargs, and ``ScheduleSpec``
-    is a frozen dataclass the canonical hash understands), so scheduled
-    results never alias static cache entries. Cells that already carry a
-    schedule (ext6 bakes its own trace axis in) are *overridden* — the
-    ``--schedule`` axis replays the whole figure against the user's
-    trace. Runners without the axis pass through unchanged.
-    """
-    from .experiments import SCHEDULE_RUNNERS
-
-    out: List[CellSpec] = []
-    rewritten = 0
-    for spec in cells:
-        if spec.runner in SCHEDULE_RUNNERS:
-            kwargs = dict(spec.kwargs)
-            kwargs["schedule"] = schedule
-            out.append(CellSpec(spec.figure_id, spec.key, spec.runner,
-                                kwargs))
-            rewritten += 1
-        else:
-            out.append(spec)
-    return out, rewritten
+            continue
+        capable = ", ".join(sorted(r for r in RUNNERS if accepts(r, axis)))
+        problems.append(f"{problem} ({word} runners: {capable})")
+    if problems:
+        raise ConfigurationError("; ".join(problems))
+    return out
 
 
 def _recorder_events(spec: CellSpec, value: Any) -> Optional[int]:
@@ -544,33 +528,16 @@ def run_sweep(
     disables the on-disk cache. The returned figures are in ``figure_ids``
     order and byte-identical to a sequential run.
 
-    ``trace`` attaches a flight recorder to every traceable cell (see
-    :data:`repro.trace.spec.TRACEABLE_RUNNERS`); the recordings come back
-    in ``SweepOutcome.traces`` in spec order — worker completion order
-    never leaks into the merge, so the traces are ``--jobs``-independent.
-    Requesting a trace for figures with no traceable cells is an error.
-
-    ``shards`` splits each shardable cell (see
-    :data:`repro.parallel.shard.SHARDABLE_RUNNERS`) across that many
-    worker processes with the conservative sharded engine; non-shardable
-    cells run single-process as before. Each cell then occupies ``shards``
-    processes, multiplying with ``--jobs`` — budget ``jobs * shards``
-    against the machine's cores. Requesting shards for figures with no
-    shardable cells is an error.
-
-    ``fidelity="hybrid"`` switches every fluid-capable cell (see
-    :data:`repro.harness.experiments.FLUID_RUNNERS`) to the hybrid
-    fluid/packet engine; results are statistically equivalent to packet
-    level (gated by :func:`repro.harness.validate.compare_metrics`) but
-    not bit-identical, and cache under separate tokens. Requesting hybrid
-    for figures with no fluid-capable cells is an error.
-
-    ``schedule`` (a :class:`repro.simnet.schedule.ScheduleSpec`) drives
-    every schedule-capable cell's dynamic link from the given
-    virtual-time trace (see
-    :data:`repro.harness.experiments.SCHEDULE_RUNNERS`); cells that
-    already carry a schedule are overridden. Requesting a schedule for
-    figures with no schedule-capable cells is an error.
+    ``trace``, ``shards``, ``fidelity`` and ``schedule`` are the sweep
+    axes, threaded into each cell by :func:`apply_axes`; a figure where
+    no cell takes a requested axis is refused before any cell runs.
+    Traced recordings come back in ``SweepOutcome.traces`` in spec order
+    — worker completion order never leaks into the merge, so the traces
+    are ``--jobs``-independent. A sharded cell occupies ``shards``
+    processes, multiplying with ``--jobs``: budget ``jobs * shards``
+    against the machine's cores. Hybrid cells are statistically
+    equivalent to packet level (gated by
+    :func:`repro.harness.validate.compare_metrics`), not bit-identical.
     """
     from .figures import CELL_MODEL
 
@@ -588,40 +555,9 @@ def run_sweep(
             ) from None
         if impair is not None and not model.has_impair_axis:
             raise ValueError(f"experiment {figure_id!r} has no --impair axis")
-        cells = model.cells(impair)
-        if trace is not None:
-            cells, traced = _apply_trace(cells, trace)
-            if traced == 0:
-                raise ValueError(
-                    f"experiment {figure_id!r} has no traceable cells "
-                    f"(traceable runners: {', '.join(sorted(TRACEABLE_RUNNERS))})"
-                )
-        if shards != 1:
-            cells, sharded = _apply_shards(cells, shards)
-            if sharded == 0:
-                raise ValueError(
-                    f"experiment {figure_id!r} has no shardable cells "
-                    f"(shardable runners: {', '.join(sorted(SHARDABLE_RUNNERS))})"
-                )
-        if fidelity != "packet":
-            cells, fluid_cells = _apply_fidelity(cells, fidelity)
-            if fluid_cells == 0:
-                from .experiments import FLUID_RUNNERS
-
-                raise ValueError(
-                    f"experiment {figure_id!r} has no fluid-capable cells "
-                    f"(fluid runners: {', '.join(sorted(FLUID_RUNNERS))})"
-                )
-        if schedule is not None:
-            cells, scheduled = _apply_schedule(cells, schedule)
-            if scheduled == 0:
-                from .experiments import SCHEDULE_RUNNERS
-
-                raise ValueError(
-                    f"experiment {figure_id!r} has no schedule-capable cells "
-                    "(schedule runners: "
-                    f"{', '.join(sorted(SCHEDULE_RUNNERS))})"
-                )
+        cells = apply_axes(model.cells(impair), figure_id, trace=trace,
+                           shards=shards, fidelity=fidelity,
+                           schedule=schedule)
         per_figure[figure_id] = cells
         for spec in cells:
             unique.setdefault(spec.token(), spec)

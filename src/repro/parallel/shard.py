@@ -121,39 +121,19 @@ from ..simnet.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_DELAY_SALT",
-    "SHARDABLE_RUNNERS",
     "InProcessShard",
     "ShardContext",
     "run_sharded",
-    "shard_cell_kwargs",
 ]
-
-#: Runners that accept ``shards=N`` (checked by the sweep runner so
-#: ``--shards`` fails loudly on figures that cannot honour it).
-SHARDABLE_RUNNERS = frozenset({"run_bulk", "run_bittorrent"})
 
 #: Relative per-link delay spread applied to sharded swarm cells whose
 #: spec does not choose its own (nanoseconds at the swarm's 10 ms leaf
 #: delay): a perfectly symmetric star phase-locks onto bit-equal
 #: cross-channel timestamps whose single-process tie order no bounded
 #: merge key reproduces (see the module docstring), so the harness runs
-#: sharded swarms symmetry-broken by default.
+#: sharded cells of every runner that takes a ``delay_salt`` symmetry-
+#: broken by default (an explicit salt in the spec, including 0.0, wins).
 DEFAULT_DELAY_SALT = 1e-6
-
-
-def shard_cell_kwargs(runner: str, kwargs: Dict[str, Any],
-                      shards: int) -> Dict[str, Any]:
-    """Runner kwargs for executing a shardable cell on ``shards`` workers.
-
-    Central so the sweep runner and the trace-capture CLI shard a cell
-    identically: sets ``shards`` and, for the swarm runner, the default
-    ``delay_salt`` (an explicit salt in the spec — including 0.0 — wins).
-    """
-    out = dict(kwargs)
-    out["shards"] = shards
-    if runner == "run_bittorrent" and "delay_salt" not in out:
-        out["delay_salt"] = DEFAULT_DELAY_SALT
-    return out
 
 
 # ----------------------------------------------------------------- channels

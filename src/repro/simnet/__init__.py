@@ -37,7 +37,6 @@ from .packet import Packet
 from .queues import DropTailQueue, REDQueue
 from .shaper import ShapedInterface, TokenBucket
 from .topology import Network, build_chain, build_dumbbell, build_star
-from .trace import PacketTrace, TraceRecord
 
 __all__ = [
     "Clock",
@@ -75,6 +74,4 @@ __all__ = [
     "build_dumbbell",
     "build_star",
     "build_chain",
-    "PacketTrace",
-    "TraceRecord",
 ]

@@ -26,8 +26,12 @@ class SchedulingError(SimulationError):
     """An event was scheduled in the past or on a stopped engine."""
 
 
-class ConfigurationError(SimulationError):
-    """A component was constructed or wired with invalid parameters."""
+class ConfigurationError(SimulationError, ValueError):
+    """A component was constructed or wired with invalid parameters.
+
+    Also a :class:`ValueError`, so a malformed spec or argument is caught
+    by the same ``except ValueError`` as any other bad value.
+    """
 
 
 class RoutingError(SimulationError):

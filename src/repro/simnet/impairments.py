@@ -44,6 +44,7 @@ from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .engine import Simulator
 from .errors import ConfigurationError
+from .grammar import number, split_spec
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -542,6 +543,11 @@ _KINDS = (
 )
 
 
+#: ``--impair`` options holding one float, by field name.
+_FLOAT_OPTIONS = {"rate": "rate", "burst": "burst", "hold": "hold_s",
+                  "every": "every_s", "outage": "outage_s"}
+
+
 @dataclass(frozen=True)
 class ImpairmentSpec:
     """A declarative, TDF-portable impairment description.
@@ -610,42 +616,33 @@ class ImpairmentSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ImpairmentSpec":
-        """Parse the CLI form ``kind[:key=value,...]``."""
-        kind, _, rest = text.partition(":")
-        kwargs = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                key = key.strip()
-                if key == "rate":
-                    kwargs["rate"] = float(value)
-                elif key == "burst":
-                    kwargs["burst"] = float(value)
-                elif key == "hold":
-                    kwargs["hold_s"] = float(value)
-                elif key == "seed":
-                    kwargs["seed"] = int(value)
-                elif key == "every":
-                    kwargs["every_s"] = float(value)
-                elif key == "count":
-                    kwargs["count"] = int(value)
-                elif key == "outage":
-                    kwargs["outage_s"] = float(value)
-                elif key == "delays":
-                    kwargs["delays"] = tuple(
-                        float(d) for d in value.split("+") if d
-                    )
-                elif key == "windows":
-                    pairs = []
-                    for window in value.split("/"):
-                        down, _, up = window.partition("-")
-                        pairs.append((float(down), float(up)))
-                    kwargs["windows"] = tuple(pairs)
-                else:
-                    raise ConfigurationError(
-                        f"unknown impairment option {key!r} in {text!r}"
-                    )
-        return cls(kind=kind.strip(), **kwargs)
+        """Parse the CLI form ``kind[:key=value,...]``.
+
+        Every malformed item raises :class:`ConfigurationError` naming it.
+        """
+        kind, options = split_spec(text, "impairment")
+        kwargs: dict = {}
+        for key, value in options:
+            if key in _FLOAT_OPTIONS:
+                kwargs[_FLOAT_OPTIONS[key]] = number(key, value, "impairment")
+            elif key in ("seed", "count"):
+                kwargs[key] = number(key, value, "impairment", int)
+            elif key == "delays":
+                kwargs["delays"] = tuple(
+                    number(key, d, "impairment") for d in value.split("+") if d
+                )
+            elif key == "windows":
+                pairs = []
+                for window in value.split("/"):
+                    down, _, up = window.partition("-")
+                    pairs.append((number(key, down, "impairment"),
+                                  number(key, up, "impairment")))
+                kwargs["windows"] = tuple(pairs)
+            else:
+                raise ConfigurationError(
+                    f"unknown impairment option {key!r} in {text!r}"
+                )
+        return cls(kind=kind, **kwargs)
 
     def build(self, sim: Simulator, tdf: object = 1) -> ImpairmentChain:
         """Materialise a chain for one interface, scaled to ``tdf``.

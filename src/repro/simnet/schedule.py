@@ -44,11 +44,13 @@ Interplay with the rest of simnet:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .engine import Simulator
 from .errors import ConfigurationError
+from .grammar import number, split_spec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .link import Link
@@ -81,44 +83,54 @@ def load_trace(path: str) -> Tuple[ScheduleEntry, ...]:
         t_s,delay_s[,bandwidth_bps[,up]]
 
     Empty cells keep the previous value; ``up`` accepts ``0/1``,
-    ``true/false``, ``up/down``. Timestamps must be strictly increasing.
-    This is the same shape the Starlink-emulator feeds Mininet — one
-    latency sample per timestamp — with optional capacity and liveness
-    columns.
+    ``true/false``, ``up/down``; numbers must be finite. Timestamps must
+    be strictly increasing (checked when a :class:`LinkSchedule` is
+    built). This is the same shape the Starlink-emulator feeds Mininet —
+    one latency sample per timestamp — with optional capacity and
+    liveness columns. Every problem, an unreadable file included, raises
+    :class:`ConfigurationError` naming the file (and ``:line``).
     """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, ValueError) as error:
+        raise ConfigurationError(
+            f"cannot read schedule trace {path!r}: {error}"
+        ) from None
     entries: List[ScheduleEntry] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = [cell.strip() for cell in line.split(",")]
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = [cell.strip() for cell in line.split(",")]
+        where = f"{path}:{lineno}"
+        if not entries and lineno <= 2:
             try:
-                at = float(cells[0])
+                float(cells[0])
             except ValueError:
-                if not entries and lineno <= 2:
-                    continue  # header row
+                continue  # header row
+        at = number("timestamp", cells[0], where)
+        delay = (number("delay", cells[1], where)
+                 if len(cells) > 1 and cells[1] else None)
+        bandwidth = (number("bandwidth", cells[2], where)
+                     if len(cells) > 2 and cells[2] else None)
+        up: Optional[bool] = None
+        if len(cells) > 3 and cells[3]:
+            up = _LIVENESS.get(cells[3].lower())
+            if up is None:
                 raise ConfigurationError(
-                    f"{path}:{lineno}: bad timestamp {cells[0]!r}"
-                ) from None
-            delay = float(cells[1]) if len(cells) > 1 and cells[1] else None
-            bandwidth = float(cells[2]) if len(cells) > 2 and cells[2] else None
-            up: Optional[bool] = None
-            if len(cells) > 3 and cells[3]:
-                token = cells[3].lower()
-                if token in ("1", "true", "up"):
-                    up = True
-                elif token in ("0", "false", "down"):
-                    up = False
-                else:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: bad liveness {cells[3]!r} "
-                        "(use 0/1, true/false, up/down)"
-                    )
-            entries.append(ScheduleEntry(at, delay, bandwidth, up))
+                    f"{where}: bad liveness {cells[3]!r} "
+                    "(use 0/1, true/false, up/down)"
+                )
+        entries.append(ScheduleEntry(at, delay, bandwidth, up))
     if not entries:
         raise ConfigurationError(f"trace {path!r} contains no entries")
     return tuple(entries)
+
+
+#: ``up`` column tokens of a CSV trace.
+_LIVENESS = {"1": True, "true": True, "up": True,
+             "0": False, "false": False, "down": False}
 
 
 #: Delay multipliers cycled per LEO handover (scaled by the spec's
@@ -275,6 +287,10 @@ class LinkSchedule:
 #: Spec kinds understood by :meth:`ScheduleSpec.build`.
 _KINDS = ("leo", "csv")
 
+#: ``--schedule`` options holding one float, by field name.
+_FLOAT_OPTIONS = {"period": "period_s", "outage": "outage_s",
+                  "amp": "amplitude", "dip": "dip"}
+
 
 @dataclass(frozen=True)
 class ScheduleSpec:
@@ -315,6 +331,11 @@ class ScheduleSpec:
             raise ConfigurationError(
                 f"unknown schedule kind {self.kind!r}; known: {_KINDS}"
             )
+        if not all(math.isfinite(value) for value in (
+                self.period_s, self.outage_s, self.amplitude, self.dip)):
+            raise ConfigurationError(
+                f"schedule values must be finite (no NaN or inf): {self}"
+            )
         if self.kind == "csv":
             if not self.path:
                 raise ConfigurationError("csv schedule needs path=<trace file>")
@@ -341,32 +362,30 @@ class ScheduleSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ScheduleSpec":
-        """Parse the CLI form ``kind[:key=value,...]``."""
-        kind, _, rest = text.partition(":")
-        kwargs = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key == "period":
-                    kwargs["period_s"] = float(value)
-                elif key == "count":
-                    kwargs["count"] = int(value)
-                elif key == "outage":
-                    kwargs["outage_s"] = float(value)
-                elif key == "amp":
-                    kwargs["amplitude"] = float(value)
-                elif key == "dip":
-                    kwargs["dip"] = float(value)
-                elif key == "path":
-                    kwargs["path"] = value
-                else:
-                    raise ConfigurationError(
-                        f"unknown schedule option {key!r} in {text!r}; "
-                        "known: period, count, outage, amp, dip, path"
-                    )
-        return cls(kind=kind.strip(), **kwargs)
+        """Parse the CLI form ``kind[:key=value,...]``.
+
+        Every malformed item raises :class:`ConfigurationError` naming
+        it; a ``csv`` trace is loaded (and so checked) here, not first
+        when a cell builds it.
+        """
+        kind, options = split_spec(text, "schedule")
+        kwargs: dict = {}
+        for key, value in options:
+            if key in _FLOAT_OPTIONS:
+                kwargs[_FLOAT_OPTIONS[key]] = number(key, value, "schedule")
+            elif key == "count":
+                kwargs["count"] = number(key, value, "schedule", int)
+            elif key == "path":
+                kwargs["path"] = value
+            else:
+                raise ConfigurationError(
+                    f"unknown schedule option {key!r} in {text!r}; "
+                    "known: period, count, outage, amp, dip, path"
+                )
+        spec = cls(kind=kind, **kwargs)
+        if spec.kind == "csv":
+            load_trace(spec.path)
+        return spec
 
     def virtual_entries(
         self,

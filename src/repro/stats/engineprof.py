@@ -39,7 +39,33 @@ from typing import Dict, Iterator, List, Optional
 
 from ..simnet.engine import Simulator, set_default_profiler
 
-__all__ = ["EngineProfiler", "profiled"]
+__all__ = ["EngineProfiler", "NAMESPACES", "profiled"]
+
+#: Counter namespaces reported in their own sections, in render order:
+#: (snapshot key, counter prefix, render heading). Each is published into
+#: a simulator's ``counters`` by the subsystem that owns it and is empty
+#: when that subsystem did not run:
+#:
+#: * ``shard.`` — the sharded engine's barrier accounting (full rounds,
+#:   lookahead windows and ``windows_per_round``, cross-shard messages,
+#:   blocked time), published per worker when a sharded run completes
+#:   (:meth:`repro.parallel.shard.ShardContext.stats`);
+#: * ``fluid.`` — the hybrid engine's mode transitions (``entries`` /
+#:   ``exits`` / per-reason ``exit.*``), fallbacks, ``steps``,
+#:   ``events_saved`` and byte-conservation ledger
+#:   (:class:`repro.simnet.fluid.FluidManager`);
+#: * ``realtime.`` — the wall-clock driver's pacing health (events
+#:   paced, ``deadline_miss``, ``max_slip_ms``, ``busy_frac``, catch-up
+#:   re-anchors, live-ingress injections)
+#:   (:class:`repro.realtime.driver.RealtimeDriver`).
+#:
+#: Every other counter (drop taxonomy, TCP accounting) renders under
+#: "counters".
+NAMESPACES = (
+    ("shard", "shard.", "shard barrier"),
+    ("fluid", "fluid.", "fluid fast path"),
+    ("realtime", "realtime.", "realtime pacing"),
+)
 
 
 class EngineProfiler:
@@ -95,66 +121,20 @@ class EngineProfiler:
                 merged[key] = merged.get(key, 0) + value
         return dict(sorted(merged.items()))
 
-    def shard_counters(self) -> Dict[str, int]:
-        """Sharded-engine barrier counters (the ``shard.*`` namespace).
-
-        A worker publishes its full-round count, lookahead-window count
-        (``windows`` / ``windows_per_round`` — how hard YAWNS batching is
-        working), cross-shard message traffic and cumulative barrier
-        blocked time into its simulator's counters when the run completes
-        (see :meth:`repro.parallel.shard.ShardContext.stats`); here they
-        are split out from the drop/TCP taxonomy so reports can show the
-        synchronisation cost next to events/sec. Empty for single-process
-        runs.
-        """
+    def namespace(self, prefix: str) -> Dict[str, int]:
+        """The counters under ``prefix`` (e.g. ``"fluid."``), prefix cut."""
         return {
-            key[len("shard."):]: value
+            key[len(prefix):]: value
             for key, value in self.counters().items()
-            if key.startswith("shard.")
-        }
-
-    def fluid_counters(self) -> Dict[str, int]:
-        """Hybrid-fidelity engine counters (the ``fluid.`` namespace).
-
-        The :class:`repro.simnet.fluid.FluidManager` publishes mode
-        transitions (``entries`` / ``exits`` / per-reason ``exit.*``),
-        fallback demotions, the current ``flows_active``, coarse ``steps``
-        taken, ``events_saved`` (engine events the fast path avoided) and
-        the byte-conservation ledger into its simulator's counters; here
-        they are split out from the drop/TCP taxonomy so reports can show
-        the abstraction-switching activity next to events/sec. Empty for
-        packet-only runs.
-        """
-        return {
-            key[len("fluid."):]: value
-            for key, value in self.counters().items()
-            if key.startswith("fluid.")
-        }
-
-    def realtime_counters(self) -> Dict[str, int]:
-        """Real-time driver counters (the ``realtime.`` namespace).
-
-        The :class:`repro.realtime.driver.RealtimeDriver` publishes its
-        pacing health — batches/events paced, ``deadline_miss`` count,
-        worst observed slip (``max_slip_ms``), the wall-time fraction
-        spent executing events (``busy_frac``), catch-up re-anchors and
-        live-ingress injections — into its simulator's counters when a
-        paced run completes; here they are split out from the drop/TCP
-        taxonomy so reports can show wall-clock fidelity next to
-        events/sec. Empty for batch (as-fast-as-possible) runs.
-        """
-        return {
-            key[len("realtime."):]: value
-            for key, value in self.counters().items()
-            if key.startswith("realtime.")
+            if key.startswith(prefix)
         }
 
     def snapshot(self) -> Dict[str, object]:
         """All counters as one plain dict (JSON-friendly)."""
-        return {
-            "shard": self.shard_counters(),
-            "fluid": self.fluid_counters(),
-            "realtime": self.realtime_counters(),
+        snap: Dict[str, object] = {
+            key: self.namespace(prefix) for key, prefix, _ in NAMESPACES
+        }
+        snap.update({
             "events": self.events,
             "wall_s": self.wall_s,
             "events_per_sec": self.events_per_sec,
@@ -176,7 +156,8 @@ class EngineProfiler:
                     reverse=True,
                 )
             ),
-        }
+        })
+        return snap
 
     def render(self, top: int = 12) -> str:
         """Human-readable profile (the harness appends this to reports)."""
@@ -191,31 +172,18 @@ class EngineProfiler:
             f"  compactions       {snap['compactions']:>12,}",
             f"  dead entries      {snap['dead_entries_reaped']:>12,}",
         ]
-        shard = snap["shard"]
-        if shard:
-            lines.append("  shard barrier:")
-            width = max(len(k) for k in shard)
-            for name, count in shard.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        fluid = snap["fluid"]
-        if fluid:
-            lines.append("  fluid fast path:")
-            width = max(len(k) for k in fluid)
-            for name, count in fluid.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        realtime = snap["realtime"]
-        if realtime:
-            lines.append("  realtime pacing:")
-            width = max(len(k) for k in realtime)
-            for name, count in realtime.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
-        counters = {k: v for k, v in snap["counters"].items()
-                    if not k.startswith(("shard.", "fluid.", "realtime."))}
-        if counters:
-            lines.append("  counters:")
-            width = max(len(k) for k in counters)
-            for name, count in counters.items():
-                lines.append(f"    {name:<{width}}  {count:>10,}")
+        sections = [(heading, snap[key]) for key, _, heading in NAMESPACES]
+        prefixes = tuple(prefix for _, prefix, _ in NAMESPACES)
+        sections.append(("counters", {
+            k: v for k, v in snap["counters"].items()
+            if not k.startswith(prefixes)
+        }))
+        for heading, section in sections:
+            if section:
+                lines.append(f"  {heading}:")
+                width = max(len(k) for k in section)
+                for name, count in section.items():
+                    lines.append(f"    {name:<{width}}  {count:>10,}")
         histogram = snap["by_component"]
         if histogram:
             lines.append(f"  top {min(top, len(histogram))} components:")

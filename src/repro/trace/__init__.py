@@ -28,7 +28,7 @@ from .events import (
 )
 from .pcap import export_pcap, pcap_timestamp, read_pcap
 from .recorder import DEFAULT_CAPACITY, FlightRecorder
-from .spec import TRACE_POINTS, TRACEABLE_RUNNERS, TraceSpec
+from .spec import TRACE_POINTS, TraceSpec
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -36,7 +36,6 @@ __all__ = [
     "Divergence",
     "FlightRecorder",
     "PACKET_KINDS",
-    "TRACEABLE_RUNNERS",
     "TRACE_POINTS",
     "TraceDiffResult",
     "TraceEvent",

@@ -25,7 +25,7 @@ from typing import List, Optional
 from .diff import DEFAULT_TIME_TOLERANCE, diff_traces, summarize_events
 from .events import load_jsonl, save_jsonl
 from .pcap import export_pcap
-from .spec import TRACEABLE_RUNNERS, TraceSpec
+from .spec import TraceSpec
 
 __all__ = ["main"]
 
@@ -135,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_capture(args: argparse.Namespace) -> int:
     from ..harness.figures import CELL_MODEL
-    from ..harness.runner import CellSpec, execute_cell
+    from ..harness.runner import accepts, apply_axes, execute_cell
+    from ..simnet.schedule import ScheduleSpec
 
     try:
         model = CELL_MODEL[args.figure]
@@ -143,18 +144,10 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         print(f"unknown figure {args.figure!r}; known: "
               + ", ".join(CELL_MODEL), file=sys.stderr)
         return 2
-    try:
-        trace = TraceSpec.parse(args.spec)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
+    if args.shards < 1:
+        print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
         return 2
-    cells = [spec for spec in model.cells(None)
-             if spec.runner in TRACEABLE_RUNNERS]
-    if not cells:
-        print(f"figure {args.figure!r} has no traceable cells "
-              f"(traceable runners: {', '.join(sorted(TRACEABLE_RUNNERS))})",
-              file=sys.stderr)
-        return 2
+    cells = model.cells(None)
     if args.cells:
         wanted = [key.strip() for key in args.cells.split(",") if key.strip()]
         by_key = {spec.key: spec for spec in cells}
@@ -164,70 +157,22 @@ def _cmd_capture(args: argparse.Namespace) -> int:
                   f"known: {', '.join(by_key)}", file=sys.stderr)
             return 2
         cells = [by_key[key] for key in wanted]
-    if args.shards < 1:
-        print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
+    else:
+        cells = [spec for spec in cells if accepts(spec.runner, "trace")]
+    try:
+        cells = apply_axes(
+            cells, args.figure, every_cell=True,
+            trace=TraceSpec.parse(args.spec), shards=args.shards,
+            fidelity=args.fidelity, delay_salt=args.salt,
+            schedule=(None if args.schedule is None
+                      else ScheduleSpec.parse(args.schedule)),
+        )
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
         return 2
-    if args.shards != 1:
-        from ..parallel.shard import SHARDABLE_RUNNERS, shard_cell_kwargs
-
-        unshardable = [s.key for s in cells
-                       if s.runner not in SHARDABLE_RUNNERS]
-        if unshardable:
-            print(f"cell(s) not shardable: {', '.join(unshardable)} "
-                  f"(shardable runners: "
-                  f"{', '.join(sorted(SHARDABLE_RUNNERS))})",
-                  file=sys.stderr)
-            return 2
-    if args.salt is not None:
-        unsaltable = [s.key for s in cells if s.runner != "run_bittorrent"]
-        if unsaltable:
-            print(f"--salt only applies to swarm cells; not saltable: "
-                  f"{', '.join(unsaltable)}", file=sys.stderr)
-            return 2
-    if args.fidelity != "packet":
-        from ..harness.experiments import FLUID_RUNNERS
-
-        unfluid = [s.key for s in cells if s.runner not in FLUID_RUNNERS]
-        if unfluid:
-            print(f"cell(s) not fluid-capable: {', '.join(unfluid)} "
-                  f"(fluid runners: {', '.join(sorted(FLUID_RUNNERS))})",
-                  file=sys.stderr)
-            return 2
-    schedule_spec = None
-    if args.schedule is not None:
-        from ..harness.experiments import SCHEDULE_RUNNERS
-        from ..simnet.errors import ConfigurationError
-        from ..simnet.schedule import ScheduleSpec
-
-        try:
-            schedule_spec = ScheduleSpec.parse(args.schedule)
-        except ConfigurationError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        unscheduled = [s.key for s in cells
-                       if s.runner not in SCHEDULE_RUNNERS]
-        if unscheduled:
-            print(f"cell(s) not schedule-capable: {', '.join(unscheduled)} "
-                  f"(schedule runners: "
-                  f"{', '.join(sorted(SCHEDULE_RUNNERS))})",
-                  file=sys.stderr)
-            return 2
     os.makedirs(args.out, exist_ok=True)
     for spec in cells:
-        base = dict(spec.kwargs)
-        if args.salt is not None:
-            base["delay_salt"] = args.salt
-        if args.fidelity != "packet":
-            base["fidelity"] = args.fidelity
-        if schedule_spec is not None:
-            base["schedule"] = schedule_spec
-        if args.shards != 1:
-            kwargs = shard_cell_kwargs(spec.runner, base, args.shards)
-        else:
-            kwargs = base
-        kwargs["trace"] = trace
-        traced = CellSpec(spec.figure_id, spec.key, spec.runner, kwargs)
-        result, _ = execute_cell(traced)
+        result, _ = execute_cell(spec)
         events = getattr(result, "trace_events", []) or []
         path = os.path.join(args.out, f"{spec.figure_id}-{spec.key}.jsonl")
         save_jsonl(events, path)

@@ -45,8 +45,7 @@ class FlightRecorder:
     Parameters
     ----------
     capacity:
-        Ring size in events; ``None`` records without bound (the legacy
-        :class:`~repro.simnet.trace.PacketTrace` shim uses this).
+        Ring size in events; ``None`` records without bound.
     clock:
         Optional owning clock; when set, every event also captures
         ``clock.to_local(physical_time)`` as its virtual timestamp.

@@ -32,13 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-__all__ = ["TraceSpec", "TRACEABLE_RUNNERS", "TRACE_POINTS"]
+from ..simnet.errors import ConfigurationError
+from ..simnet.grammar import flag, number, split_spec
+
+__all__ = ["TraceSpec", "TRACE_POINTS"]
 
 TRACE_POINTS = ("bottleneck", "reverse", "receiver")
-
-#: Runners that accept a ``trace=`` kwarg (checked by the sweep runner so
-#: ``--trace`` fails loudly on figures that cannot honour it).
-TRACEABLE_RUNNERS = frozenset({"run_bulk", "run_bittorrent"})
 
 
 @dataclass(frozen=True)
@@ -55,46 +54,36 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         if self.point not in TRACE_POINTS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"unknown trace point {self.point!r}; "
                 f"choose from {', '.join(TRACE_POINTS)}"
             )
         if self.capacity < 1:
-            raise ValueError(f"trace capacity must be positive: {self.capacity}")
+            raise ConfigurationError(
+                f"trace capacity must be positive: {self.capacity}"
+            )
         bad = [k for k in self.kinds if k not in ("enqueue", "tx", "rx", "drop")]
         if bad:
-            raise ValueError(f"unknown packet kinds: {', '.join(bad)}")
+            raise ConfigurationError(f"unknown packet kinds: {', '.join(bad)}")
 
     @classmethod
     def parse(cls, text: str) -> "TraceSpec":
-        """Parse the CLI grammar; raises ``ValueError`` with a usable hint."""
-        head, _, rest = text.strip().partition(":")
-        point = head or "bottleneck"
+        """Parse the CLI grammar; raises ``ConfigurationError`` with a hint."""
+        point, options = split_spec(text, "trace")
         kwargs = {}
-        if rest:
-            for item in rest.split(","):
-                if not item:
-                    continue
-                key, sep, value = item.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"bad trace option {item!r} (expected key=value)"
-                    )
-                key = key.strip()
-                value = value.strip()
-                if key == "kinds":
-                    kwargs["kinds"] = tuple(value.split("+"))
-                elif key == "capacity":
-                    kwargs["capacity"] = int(value)
-                elif key in ("tcp", "timers"):
-                    kwargs[key] = value not in ("0", "false", "no", "")
-                else:
-                    raise ValueError(
-                        f"unknown trace option {key!r}; "
-                        "known: kinds, capacity, tcp, timers"
-                    )
+        for key, value in options:
+            if key == "kinds":
+                kwargs["kinds"] = tuple(value.split("+"))
+            elif key == "capacity":
+                kwargs["capacity"] = number(key, value, "trace", int)
+            elif key in ("tcp", "timers"):
+                kwargs[key] = flag(key, value, "trace")
+            else:
+                raise ConfigurationError(
+                    f"unknown trace option {key!r}; "
+                    "known: kinds, capacity, tcp, timers"
+                )
         return cls(point=point, **kwargs)
-
     def canonical_string(self) -> str:
         """Round-trippable one-liner (used in filenames and reports)."""
         parts = [f"kinds={'+'.join(self.kinds)}", f"capacity={self.capacity}"]

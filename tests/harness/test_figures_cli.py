@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import cli
-from repro.harness.figures import FIGURES, figure_ids, run_figure
+from repro.harness.figures import CELL_MODEL, figure_ids, run_figure
 
 
 def test_registry_covers_design_doc():
@@ -32,8 +32,8 @@ def test_table2_runs_and_passes():
 
 
 def test_every_figure_has_docstring():
-    for figure_id, fn in FIGURES.items():
-        assert fn.__doc__, f"{figure_id} has no docstring"
+    for figure_id, model in CELL_MODEL.items():
+        assert model.description.strip(), f"{figure_id} has no description"
 
 
 def test_cli_list(capsys):
@@ -75,3 +75,20 @@ def test_cli_csv_export(tmp_path, capsys):
     assert csv_file.exists()
     header = csv_file.read_text().splitlines()[0]
     assert "TDF" in header
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext4", "--impair", "bogus:x=1"],
+    ["ext4", "--impair", "bernoulli:rate=abc"],
+    ["fig3", "--schedule", "leo:period=abc"],
+    ["fig9", "--schedule", "csv:path=/nonexistent.csv"],
+    ["fig3", "--trace", "receiver:tcp=maybe"],
+    ["fig7", "--trace", "bottleneck"],
+    ["table1", "--fidelity", "hybrid"],
+    ["fig7", "--shards", "2"],
+])
+def test_cli_refuses_bad_input_before_any_cell_with_one_line(argv, capsys):
+    assert cli.main([*argv, "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""

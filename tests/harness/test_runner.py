@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.harness import cli
-from repro.harness.figures import CELL_MODEL, FIGURES
+from repro.harness.figures import CELL_MODEL
 from repro.harness.runner import (
     CellSpec,
     ResultCache,
@@ -86,9 +86,6 @@ class TestTokens:
                     )
                 seen[token] = spec
                 assert spec.figure_id == figure_id
-
-    def test_cell_and_figure_registries_align(self):
-        assert set(CELL_MODEL) == set(FIGURES)
 
 
 class TestBitExactMerge:

@@ -33,8 +33,6 @@ def _tiny_assemble(results):
 def tiny_figure(monkeypatch):
     model = FigureCells(enumerate=_tiny_cells, assemble=_tiny_assemble)
     monkeypatch.setitem(figures.CELL_MODEL, "figtest", model)
-    monkeypatch.setitem(figures.FIGURES, "figtest",
-                        lambda **kwargs: _tiny_assemble({}))
 
 
 def test_sweep_collects_traces_in_spec_order(tiny_figure):

@@ -52,7 +52,7 @@ def test_bulk_two_shards_event_for_event_identical():
 
 
 def test_unsalted_symmetric_bulk_event_for_event_identical():
-    """Regression for the ``shard_cell_kwargs`` default-salt gap: sharded
+    """Regression for the ``apply_axes`` default-salt gap: sharded
     ``run_bulk`` cells get no ``delay_salt`` (the kwarg does not even
     exist for bulk), so this pins the reason that is safe — a multi-flow
     dumbbell's flows are perfectly symmetric, yet every cross-shard

@@ -299,14 +299,17 @@ def test_synthesize_leo_validation():
 # ---------------------------------------------------------- ScheduleSpec
 
 
-def test_spec_parse_round_trip():
+def test_spec_parse_round_trip(tmp_path):
     spec = ScheduleSpec.parse("leo:period=1.5,count=4,outage=0.08,amp=0.25,"
                               "dip=0.6")
     assert spec == ScheduleSpec(kind="leo", period_s=1.5, count=4,
                                 outage_s=0.08, amplitude=0.25, dip=0.6)
     assert ScheduleSpec.parse("leo") == ScheduleSpec(kind="leo")
-    csv = ScheduleSpec.parse("csv:path=traces/starlink.csv")
-    assert csv.kind == "csv" and csv.path == "traces/starlink.csv"
+    # A csv spec is loaded at parse, so its trace must exist.
+    trace = tmp_path / "starlink.csv"
+    trace.write_text("0.5,0.03\n")
+    csv = ScheduleSpec.parse(f"csv:path={trace}")
+    assert csv.kind == "csv" and csv.path == str(trace)
 
 
 def test_spec_parse_rejects_unknown_kind_and_option():

@@ -1,4 +1,11 @@
-"""Unit tests for packet tracing."""
+"""Packet tracing on one interface: a FlightRecorder as the emulator's tcpdump.
+
+An interface reports its packet events to the single recorder in its
+``recorder`` slot. These tests pin what a per-interface capture records
+(kind and flow filters, virtual stamps, drop reasons) and how
+interarrivals are taken from it, in physical time or re-mapped through
+any clock.
+"""
 
 import pytest
 
@@ -7,7 +14,7 @@ from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
-from repro.simnet.trace import PacketTrace
+from repro.trace.recorder import FlightRecorder
 
 
 class Sink:
@@ -28,39 +35,53 @@ def send_n(a, n, flow_id=None, size=1250):
         a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=size, flow_id=flow_id))
 
 
+def capture(interface, kinds=("rx",), flow_id=None, clock=None):
+    recorder = FlightRecorder(capacity=None, clock=clock,
+                              packet_kinds=kinds, flow_id=flow_id)
+    return recorder.attach_interface(interface)
+
+
+def interarrivals(recorder, clock=None):
+    stamps = [event.physical_time if clock is None
+              else clock.to_local(event.physical_time)
+              for event in recorder]
+    return [b - a for a, b in zip(stamps, stamps[1:])]
+
+
 def test_records_rx_by_default():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    trace = capture(link.b_to_a)
     send_n(a, 3)
     sim.run()
     assert len(trace) == 3
-    assert all(record.kind == "rx" for record in trace.records)
+    assert all(event.kind == "rx" for event in trace)
 
 
 def test_interarrivals_physical():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    trace = capture(link.b_to_a)
     send_n(a, 3)  # back-to-back at 1 Mbps, 1250 B -> 10 ms spacing
     sim.run()
-    assert trace.interarrivals() == pytest.approx([0.010, 0.010])
+    assert interarrivals(trace) == pytest.approx([0.010, 0.010])
 
 
 def test_interarrivals_in_virtual_time():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    trace = capture(link.b_to_a)
     clock = DilatedClock(sim, tdf=10)
     send_n(a, 3)
     sim.run()
-    assert trace.interarrivals(clock) == pytest.approx([0.001, 0.001])
+    # Re-mapped after the fact through a clock the recorder never owned.
+    assert interarrivals(trace, clock) == pytest.approx([0.001, 0.001])
 
 
 def test_flow_filter():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a, flow_id="wanted")
+    trace = capture(link.b_to_a, flow_id="wanted")
     send_n(a, 2, flow_id="wanted")
     send_n(a, 5, flow_id="other")
     sim.run()
@@ -70,69 +91,69 @@ def test_flow_filter():
 def test_kind_filter_and_total_bytes():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.a_to_b, kinds=("tx",))
+    trace = capture(link.a_to_b, kinds=("tx",))
     send_n(a, 4, size=500)
     sim.run()
     assert len(trace) == 4
-    assert trace.total_bytes() == 2000
+    assert sum(event.size_bytes for event in trace) == 2000
 
 
 def test_virtual_time_captured_with_owning_clock():
     sim = Simulator()
     a, b, link = wired_pair(sim)
     clock = DilatedClock(sim, tdf=10)
-    trace = PacketTrace(link.b_to_a, clock=clock)
+    trace = capture(link.b_to_a, clock=clock)
     send_n(a, 3)
     sim.run()
-    for record in trace.records:
-        assert record.virtual_time == pytest.approx(record.physical_time / 10)
+    for event in trace:
+        assert event.virtual_time == pytest.approx(event.physical_time / 10)
 
 
 def test_virtual_time_none_without_clock():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    trace = capture(link.b_to_a)
     send_n(a, 1)
     sim.run()
-    assert trace.records[0].virtual_time is None
+    assert trace.snapshot()[0].virtual_time is None
 
 
 def test_drop_records_carry_taxonomy_reason():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.a_to_b, kinds=("drop", "rx"))
+    trace = capture(link.a_to_b, kinds=("drop", "rx"))
     link.a_to_b.set_loss(lambda packet: True)
     send_n(a, 2)
     sim.run()
     assert len(trace) == 2
-    assert all(record.kind == "drop" and record.drop_reason == "injected"
-               for record in trace.records)
+    assert all(event.kind == "drop" and event.reason == "injected"
+               for event in trace)
 
 
 def test_non_drop_records_have_no_reason():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    trace = capture(link.b_to_a)
     send_n(a, 1)
     sim.run()
-    assert trace.records[0].drop_reason is None
+    assert trace.snapshot()[0].reason is None
 
 
 def test_one_trace_per_interface():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    PacketTrace(link.b_to_a)
+    capture(link.b_to_a)
     with pytest.raises(ValueError, match="already has a recorder"):
-        PacketTrace(link.b_to_a)
+        capture(link.b_to_a)
 
 
 def test_clear_forgets_records():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    trace = PacketTrace(link.b_to_a)
+    trace = capture(link.b_to_a)
     send_n(a, 3)
     sim.run()
     assert len(trace) == 3
     trace.clear()
     assert len(trace) == 0
-    assert trace.records == []
+    assert trace.snapshot() == []

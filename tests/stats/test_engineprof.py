@@ -143,7 +143,7 @@ def test_realtime_counters_split_into_own_section():
     sim.counters["drop.loss"] = 1
     sim.schedule(1.0, tick)
     sim.run()
-    assert profiler.realtime_counters() == {
+    assert profiler.namespace("realtime.") == {
         "deadline_miss": 2, "max_slip_ms": 7.5, "busy_frac": 0.42,
     }
     snap = profiler.snapshot()
@@ -154,3 +154,49 @@ def test_realtime_counters_split_into_own_section():
     # The generic counter section excludes the realtime namespace.
     generic_start = rendered.index("  counters:")
     assert "realtime." not in rendered[generic_start:]
+
+
+def test_render_and_snapshot_pinned_with_every_namespace():
+    profiler = EngineProfiler()
+    sim = Simulator()
+    sim.attach_profiler(profiler)
+    sim.counters.update({
+        "shard.rounds": 3, "shard.windows_per_round": 2,
+        "fluid.entries": 5, "fluid.exit.loss": 1,
+        "realtime.deadline_miss": 2,
+        "drop.loss": 7, "tcp.retransmits": 1234,
+    })
+    sim.schedule(1.0, tick)
+    sim.run()
+    snap = profiler.snapshot()
+    assert list(snap) == [
+        "shard", "fluid", "realtime", "events", "wall_s", "events_per_sec",
+        "simulators", "live_events", "heap_len", "max_heap_len",
+        "compactions", "dead_entries_reaped", "counters", "by_component",
+    ]
+    assert snap["shard"] == {"rounds": 3, "windows_per_round": 2}
+    assert snap["fluid"] == {"entries": 5, "exit.loss": 1}
+    assert snap["realtime"] == {"deadline_miss": 2}
+    lines = [line for line in profiler.render().splitlines()
+             if "wall time" not in line and "events/sec" not in line]
+    assert lines == [
+        "engine profile:",
+        "  events executed              1",
+        "  simulators                   1",
+        "  peak heap length             1",
+        "  compactions                  0",
+        "  dead entries                 0",
+        "  shard barrier:",
+        "    rounds                      3",
+        "    windows_per_round           2",
+        "  fluid fast path:",
+        "    entries             5",
+        "    exit.loss           1",
+        "  realtime pacing:",
+        "    deadline_miss           2",
+        "  counters:",
+        "    drop.loss                 7",
+        "    tcp.retransmits       1,234",
+        "  top 1 components:",
+        "    tick           1  (100.0%)",
+    ]

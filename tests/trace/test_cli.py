@@ -142,7 +142,7 @@ def test_capture_salt_rejected_for_bulk_cells(tmp_path, tiny_figure, capsys):
     assert trace_cli.main([
         "capture", "figtest", "--salt", "1e-6", "--out", str(tmp_path),
     ]) == 2
-    assert "only applies to swarm cells" in capsys.readouterr().err
+    assert "not saltable: tdf1, tdf10" in capsys.readouterr().err
 
 
 def test_capture_fidelity_hybrid_plumbs_through(tmp_path, tiny_figure):
@@ -168,17 +168,14 @@ def test_capture_fidelity_hybrid_plumbs_through(tmp_path, tiny_figure):
     assert rc == 0
 
 
-def test_capture_fidelity_rejected_for_non_fluid_cells(
-    tmp_path, tiny_figure, monkeypatch, capsys,
-):
-    from repro.harness import experiments
-
-    monkeypatch.setattr(experiments, "FLUID_RUNNERS", frozenset())
+def test_capture_fidelity_rejected_for_non_fluid_cells(tmp_path, capsys):
+    # A real cell whose runner (run_starlink) takes no fidelity axis.
     assert trace_cli.main([
-        "capture", "figtest", "--fidelity", "hybrid",
-        "--out", str(tmp_path),
+        "capture", "ext6", "--cells", "swarm-tdf1,stream-dense-tdf1",
+        "--fidelity", "hybrid", "--out", str(tmp_path),
     ]) == 2
-    assert "not fluid-capable" in capsys.readouterr().err
+    assert "not fluid-capable: stream-dense-tdf1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_capture_salted_baseline_matches_sharded_swarm(
@@ -237,16 +234,26 @@ def test_capture_schedule_rejects_bad_spec(tmp_path, tiny_figure, capsys):
     assert "unknown schedule kind" in capsys.readouterr().err
 
 
-def test_capture_schedule_rejected_for_incapable_cells(
-    tmp_path, tiny_figure, monkeypatch, capsys,
-):
-    from repro.harness import experiments
-
-    monkeypatch.setattr(experiments, "SCHEDULE_RUNNERS", frozenset())
+def test_capture_schedule_rejected_for_incapable_cells(tmp_path, capsys):
+    # A real cell whose runner (run_web) takes no schedule axis.
     assert trace_cli.main([
-        "capture", "figtest", "--schedule", "leo", "--out", str(tmp_path),
+        "capture", "fig7", "--cells", "tdf1-rate5", "--schedule", "leo",
+        "--out", str(tmp_path),
     ]) == 2
-    assert "not schedule-capable" in capsys.readouterr().err
+    assert "not schedule-capable: tdf1-rate5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["capture", "fig7"],
+    ["capture", "fig3", "--spec", ":"],
+    ["capture", "fig3", "--schedule", "leo:period=inf"],
+    ["capture", "fig3", "--schedule", "csv:path=/nonexistent.csv"],
+])
+def test_capture_refuses_bad_input_before_any_cell(argv, tmp_path, capsys):
+    assert trace_cli.main([*argv, "--out", str(tmp_path)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_diff_missing_file(tmp_path, capsys):

@@ -68,7 +68,7 @@ class PeerConfig:
     min_peers: int = 5
 
 
-@dataclass(eq=False)  # identity semantics: connections live in sets
+@dataclass(eq=False, slots=True)  # identity semantics: connections live in sets
 class _Connection:
     """Per-neighbour protocol state."""
 

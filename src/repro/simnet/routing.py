@@ -36,6 +36,33 @@ def _adjacency(
     return adjacency
 
 
+def _dijkstra(
+    source: str, adjacency: Dict[str, List[Tuple[str, float, Link]]]
+) -> Tuple[Dict[str, Tuple[float, str]], List[str]]:
+    """Dijkstra from ``source`` over a prebuilt adjacency.
+
+    Returns ``{dst: (cost, predecessor)}`` in discovery order (the source
+    is its own predecessor) and the nodes in the order they were settled.
+    A node is settled only after the predecessor it keeps, so walking
+    that order builds any per-path value from an already final parent.
+    """
+    best: Dict[str, Tuple[float, str]] = {source: (0.0, source)}
+    settled: Dict[str, None] = {}
+    frontier: List[Tuple[float, str]] = [(0.0, source)]
+    while frontier:
+        cost, name = heapq.heappop(frontier)
+        if name in settled:
+            continue
+        settled[name] = None
+        for neighbour, weight, _ in adjacency[name]:
+            candidate = cost + weight
+            known = best.get(neighbour)
+            if known is None or candidate < known[0] - 1e-15:
+                best[neighbour] = (candidate, name)
+                heapq.heappush(frontier, (candidate, neighbour))
+    return best, list(settled)
+
+
 def shortest_path(
     source: Node, nodes: Iterable[Node], links: Iterable[Link]
 ) -> Dict[str, Tuple[float, List[str]]]:
@@ -43,22 +70,11 @@ def shortest_path(
     adjacency = _adjacency(nodes, links)
     if source.name not in adjacency:
         raise RoutingError(f"source {source.name} is not in the topology")
-    distances: Dict[str, float] = {source.name: 0.0}
+    best, settled = _dijkstra(source.name, adjacency)
     paths: Dict[str, List[str]] = {source.name: [source.name]}
-    visited: set[str] = set()
-    frontier: List[Tuple[float, str]] = [(0.0, source.name)]
-    while frontier:
-        cost, name = heapq.heappop(frontier)
-        if name in visited:
-            continue
-        visited.add(name)
-        for neighbour, weight, _ in adjacency[name]:
-            candidate = cost + weight
-            if neighbour not in distances or candidate < distances[neighbour] - 1e-15:
-                distances[neighbour] = candidate
-                paths[neighbour] = paths[name] + [neighbour]
-                heapq.heappush(frontier, (candidate, neighbour))
-    return {dst: (distances[dst], paths[dst]) for dst in distances}
+    for name in settled[1:]:
+        paths[name] = paths[best[name][1]] + [name]
+    return {dst: (cost, paths[dst]) for dst, (cost, _) in best.items()}
 
 
 def compute_routes(
@@ -66,19 +82,20 @@ def compute_routes(
 ) -> Dict[str, Dict[str, str]]:
     """For every node, the next hop toward every destination.
 
-    Returns ``{node: {dst: next_hop_name}}``.
+    Returns ``{node: {dst: next_hop_name}}``. The adjacency is built once
+    and shared by every source's Dijkstra.
     """
     node_list = list(nodes)
-    link_list = list(links)
+    adjacency = _adjacency(node_list, links)
     tables: Dict[str, Dict[str, str]] = {}
     for node in node_list:
-        reachable = shortest_path(node, node_list, link_list)
-        next_hops: Dict[str, str] = {}
-        for dst, (_, path) in reachable.items():
-            if dst == node.name:
-                continue
-            next_hops[dst] = path[1]
-        tables[node.name] = next_hops
+        source = node.name
+        best, settled = _dijkstra(source, adjacency)
+        first_hop = {}
+        for name in settled[1:]:
+            parent = best[name][1]
+            first_hop[name] = name if parent == source else first_hop[parent]
+        tables[source] = {dst: first_hop[dst] for dst in best if dst != source}
     return tables
 
 

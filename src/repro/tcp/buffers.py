@@ -17,15 +17,21 @@ delivery) with O(messages) memory instead of O(bytes).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simnet.errors import ProtocolError
 
 __all__ = ["SendBuffer", "ReceiveAssembler"]
 
+_offset = itemgetter(0)
+
 
 class SendBuffer:
     """Outbound stream: how many bytes are queued and which messages ride on them."""
+
+    __slots__ = ("stream_length", "_markers")
 
     def __init__(self) -> None:
         #: Total bytes the application has written so far (stream length).
@@ -49,25 +55,22 @@ class SendBuffer:
         """Markers whose completing byte lies in ``(start, end]``.
 
         Called for every (re)transmission covering that range, so a lost
-        segment's markers are re-attached to the retransmission.
+        segment's markers are re-attached to the retransmission. Offsets
+        are strictly increasing (each write ends beyond the last), so the
+        range is one slice found by two binary searches.
         """
         markers = self._markers
         if not markers:
             return []
-        return [(off, msg) for off, msg in markers if start < off <= end]
+        return markers[bisect_right(markers, start, key=_offset):
+                       bisect_right(markers, end, key=_offset)]
 
     def release_through(self, offset: int) -> None:
         """Drop markers fully acknowledged at stream ``offset``."""
         markers = self._markers
-        # Offsets are strictly increasing (each write ends beyond the
-        # last), so the acknowledged markers are a prefix of the list.
-        released = 0
-        for off, _ in markers:
-            if off > offset:
-                break
-            released += 1
-        if released:
-            del markers[:released]
+        # The acknowledged markers are a prefix of the sorted list.
+        if markers and markers[0][0] <= offset:
+            del markers[:bisect_right(markers, offset, key=_offset)]
 
     @property
     def pending_markers(self) -> int:
@@ -83,6 +86,10 @@ class ReceiveAssembler:
     ``(start, end)`` intervals; message markers wait in a dict keyed by
     their completing offset until the stream passes them.
     """
+
+    __slots__ = ("buffer_size", "rcv_nxt", "bytes_delivered", "on_message",
+                 "on_data", "_ooo", "_recent", "_pending_messages",
+                 "_max_delivered_marker")
 
     def __init__(
         self,

@@ -57,6 +57,8 @@ class CongestionControl(abc.ABC):
 
     name = "abstract"
 
+    __slots__ = ("mss", "cwnd", "ssthresh")
+
     def __init__(self, mss: int) -> None:
         if mss <= 0:
             raise ConfigurationError(f"mss must be positive: {mss}")
@@ -129,6 +131,7 @@ class Tahoe(CongestionControl):
 
     supports_fast_recovery = False
     name = "tahoe"
+    __slots__ = ()
 
     def on_enter_recovery(self, flight_size: int, now: float) -> None:
         self._halve(flight_size)
@@ -140,6 +143,7 @@ class Reno(CongestionControl):
 
     supports_fluid = True
     name = "reno"
+    __slots__ = ()
 
 
 class NewReno(Reno):
@@ -147,6 +151,7 @@ class NewReno(Reno):
     partial-ACK retransmissions that distinguish NewReno from Reno."""
 
     name = "newreno"
+    __slots__ = ()
 
 
 class Cubic(CongestionControl):
@@ -164,6 +169,8 @@ class Cubic(CongestionControl):
 
     C = 0.4          # scaling constant, segments/sec^3
     BETA = 0.7       # multiplicative decrease factor
+
+    __slots__ = ("_w_max", "_epoch_start", "_k")
 
     def __init__(self, mss: int) -> None:
         super().__init__(mss)
@@ -236,11 +243,13 @@ class Vegas(CongestionControl):
 
     name = "vegas"
 
-    ALPHA = 2.0  # segments
-    BETA = 4.0
+    __slots__ = ("ALPHA", "BETA", "base_rtt", "_last_rtt", "_next_adjust_at")
 
     def __init__(self, mss: int) -> None:
         super().__init__(mss)
+        # The band in segments, per connection so one can be tuned alone.
+        self.ALPHA = 2.0
+        self.BETA = 4.0
         self.base_rtt: Optional[float] = None
         self._last_rtt: Optional[float] = None
         self._next_adjust_at = 0.0

@@ -25,6 +25,9 @@ _K = 4
 class RttEstimator:
     """SRTT/RTTVAR tracking plus RTO computation with backoff."""
 
+    __slots__ = ("min_rto", "max_rto", "granularity", "_initial_rto", "srtt",
+                 "rttvar", "_rto", "_backoff", "samples")
+
     def __init__(
         self,
         initial_rto: float = 1.0,

@@ -113,6 +113,37 @@ def _covers(ranges, start, end):
 class TcpSocket:
     """One endpoint of a TCP connection. Create via :class:`repro.tcp.stack.TcpStack`."""
 
+    # A swarm holds thousands of sockets, and above ~29 attributes CPython
+    # gives each instance a full dict (~1.6 KB) instead of an inline value
+    # array, so every attribute any module assigns is a fixed slot.
+    # ``__dict__`` stays as an escape hatch that plain runs never create:
+    # the benchmark's span ledger (perfbench/ledger.py) replaces the
+    # ``on_*`` and ``_accept_callback`` slots with class properties that
+    # store into ``obj.__dict__``, and tests may patch instances.
+    __slots__ = (
+        "__dict__",
+        "stack", "node", "local_port", "remote_addr", "remote_port",
+        "options", "flow_id",
+        "on_connected", "on_data", "on_message", "on_close", "on_error",
+        "on_acked", "_accept_callback",
+        "recorder", "_traced_cwnd",
+        "_fluid_hold", "_pace_window", "_fluid_cooldown", "_fluid_loss_stat",
+        "_fluid_last_loss",
+        "state",
+        "snd_una", "snd_nxt", "snd_wnd", "send_buffer", "cc", "rtt",
+        "_rto_event", "_persist_event", "_retries", "_dupacks",
+        "_in_recovery", "_recover", "_timed_seq", "_timed_at",
+        "_fin_pending", "_fin_sent", "_high_water",
+        "_scoreboard", "_rexmit_marks", "_scan_cursor", "_marks_bytes",
+        "_ts_recent", "_last_ack_ts_ecr",
+        "_ecn_echo", "_cwr_pending", "_ecn_recover",
+        "assembler", "_remote_fin_stream", "_fin_received",
+        "_segments_since_ack", "_delack_event",
+        "segments_sent", "segments_received", "retransmits", "timeouts",
+        "bytes_acked", "dupacks_received", "fast_retransmits",
+        "fast_recoveries",
+    )
+
     def __init__(
         self,
         stack: "Any",
@@ -143,6 +174,9 @@ class TcpSocket:
         #: Called as on_acked(sock, total_stream_bytes_acked) whenever new
         #: data is cumulatively acknowledged (sender-side progress hook).
         self.on_acked = on_acked
+        #: The listener's ``on_accept``, set by the stack on server sockets
+        #: and called once the handshake completes.
+        self._accept_callback = None
 
         #: Optional :class:`repro.trace.recorder.FlightRecorder` observing
         #: state transitions, retransmits and cwnd changes. Default off;
@@ -819,7 +853,7 @@ class TcpSocket:
             self._cancel_rto()
             self._set_state(FIN_WAIT_1 if self._fin_pending else ESTABLISHED)
             self.snd_wnd = segment.window
-            listener = getattr(self, "_accept_callback", None)
+            listener = self._accept_callback
             if listener is not None:
                 listener(self)
             if self.on_connected is not None:

@@ -125,16 +125,21 @@ def test_receive_assembler_without_message_callback_keeps_nothing(case):
 
 @st.composite
 def send_histories(draw):
-    """Writes (some tagged) followed by interleaved queries and releases."""
+    """Writes (some tagged), then queries, releases and more writes.
+
+    Query ranges start anywhere, so many re-cover bytes an earlier query
+    already returned, as a retransmission does.
+    """
     writes = draw(st.lists(
         st.tuples(st.integers(1, 30), st.booleans()), min_size=1, max_size=12,
     ))
     stream_length = sum(size for size, _ in writes)
-    position = st.integers(0, stream_length + 5)
+    position = st.integers(0, stream_length + 65)
     operations = draw(st.lists(
         st.one_of(
             st.tuples(st.just("markers_in"), position, st.integers(0, 60)),
             st.tuples(st.just("release_through"), position, st.just(0)),
+            st.tuples(st.just("write"), st.integers(1, 30), st.booleans()),
         ),
         max_size=25,
     ))
@@ -147,19 +152,27 @@ def test_send_buffer_matches_reference(history):
     writes, operations = history
     buf = SendBuffer()
     written, acked, length = [], 0, 0
-    for size, tagged in writes:
+
+    def write(size, tagged):
+        nonlocal length
         length += size
         message = f"m{length}" if tagged else None
         buf.write(size, message=message)
         if tagged:
             written.append((length, message))
+
+    for size, tagged in writes:
+        write(size, tagged)
     assert buf.stream_length == length
     for operation, offset, span in operations:
         if operation == "markers_in":
             expected = [(off, msg) for off, msg in written
                         if off > acked and offset < off <= offset + span]
             assert buf.markers_in(offset, offset + span) == expected
+        elif operation == "write":
+            write(offset, span)
         else:
+            offset = min(offset, length)  # no ACK covers unwritten bytes
             buf.release_through(offset)
             acked = max(acked, offset)
         assert buf.pending_markers == sum(1 for off, _ in written if off > acked)

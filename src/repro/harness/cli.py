@@ -12,8 +12,9 @@ Figures are executed as a deduplicated cell sweep
 ``os.cpu_count()`` worker processes and completed cells are cached under
 ``.repro-cache/``, so an interrupted ``all`` resumes where it stopped.
 Output is merged in spec order and is byte-identical whatever ``--jobs``
-is. ``--profile-engine`` takes the classic sequential in-process path —
-the engine profiler is a per-process singleton, so it cannot span a pool.
+is. ``--profile-engine`` profiles each cell where it runs and appends
+each figure's merged profile to its report; it composes with every other
+flag but bypasses the result cache, since a cached cell has no profile.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
-from .figures import CELL_MODEL, figure_ids, run_figure
+from .figures import CELL_MODEL, figure_ids
 from .runner import DEFAULT_CACHE_DIR, run_sweep
 
 __all__ = ["main"]
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append an event-engine profile (events/sec, heap stats, "
              "per-component histogram) to each experiment's report; "
-             "implies the sequential in-process path",
+             "implies --no-cache",
     )
     parser.add_argument(
         "--impair",
@@ -140,39 +140,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(result, args: argparse.Namespace,
-            wall_s: Optional[float] = None) -> int:
+def _report(result, args: argparse.Namespace) -> int:
     """Print one figure (and write its CSV); 1 if a check failed, else 0."""
     print(result.render())
-    if wall_s is not None:
-        print(f"  ({wall_s:.1f} s wall)")
     if args.csv:
         os.makedirs(args.csv, exist_ok=True)
         print(f"  csv: {result.write_csv(args.csv)}")
     print()
     return 0 if result.all_passed else 1
-
-
-def _finish(failures: int) -> int:
-    if failures:
-        print(f"{failures} experiment(s) had failing checks", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_profiled(requested: List[str], args: argparse.Namespace) -> int:
-    """The classic sequential path: one profiled figure at a time."""
-    failures = 0
-    for figure_id in requested:
-        started = time.time()
-        try:
-            result = run_figure(figure_id, profile_engine=True,
-                                impair=args.impair)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        failures += _report(result, args, time.time() - started)
-    return _finish(failures)
 
 
 def _parse_specs(args: argparse.Namespace):
@@ -215,27 +190,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.profile_engine:
-        axes = [flag for flag, used in (
-            ("--trace", trace_spec), ("--shards", args.shards != 1),
-            ("--fidelity", args.fidelity != "packet"),
-            ("--schedule", schedule_spec),
-        ) if used]
-        if axes:
-            print(f"{axes[0]} cannot be combined with --profile-engine "
-                  "(the profiled path bypasses the cell sweep)",
-                  file=sys.stderr)
-            return 2
-        return _run_profiled(requested, args)
-
-    cache_dir = None if args.no_cache else args.cache_dir
+    # A cached cell has no profile, so --profile-engine runs every cell.
+    use_cache = not (args.no_cache or args.profile_engine)
+    cache_dir = args.cache_dir if use_cache else None
     try:
         outcome = run_sweep(
             requested,
             jobs=args.jobs,
             impair=args.impair,
             cache_dir=cache_dir,
-            collect_timings=args.timings,
+            collect_timings=args.timings or args.profile_engine,
             trace=trace_spec,
             shards=args.shards,
             fidelity=args.fidelity,
@@ -244,6 +208,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
+    if args.profile_engine:
+        from ..stats.engineprof import render
+
+        for result in outcome.figures:
+            result.engine_profile = render(outcome.profiles[result.figure_id])
     failures = sum(_report(result, args) for result in outcome.figures)
     if trace_spec is not None:
         from ..trace.events import save_jsonl
@@ -267,7 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.timings:
         print()
         print(outcome.timings_table())
-    return _finish(failures)
+    if failures:
+        print(f"{failures} experiment(s) had failing checks", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,10 +12,9 @@ form: ``cells()`` enumerates the figure's independent simulations as
 picklable :class:`~repro.harness.runner.CellSpec`\\ s and
 ``assemble(results)`` folds their results into the FigureResult. Each
 section registers its assemble function with :func:`_figure`, whose
-docstring becomes the entry's ``description``. :func:`run_figure`
-executes one figure's cells in-process and assembles — the same cells,
-the same bytes — while ``repro-figure --jobs N`` fans them out across
-processes.
+docstring becomes the entry's ``description``. Every figure runs through
+:func:`~repro.harness.runner.run_sweep`; :func:`run_figure` is its
+one-figure, one-job, uncached form.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from ..stats.cdf import ks_distance, percentile
 from .ascii_chart import line_chart
 from .experiments import relative_error
 from .report import FigureResult, Table
-from .runner import CellSpec, FigureCells, execute_cells_inline
+from .runner import CellSpec, FigureCells, run_sweep
 
 __all__ = ["CELL_MODEL", "figure_ids", "run_figure"]
 
@@ -1397,59 +1396,20 @@ def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
 # ============================================================== execution
 
 
-def _run_inline(figure_id: str, impair: Optional[str] = None) -> FigureResult:
-    """Execute one figure's cells in-process (today's path) and assemble."""
-    model = CELL_MODEL[figure_id]
-    cells = model.cells(impair)
-    results = execute_cells_inline(cells)
-    return model.build(
-        {spec.key: results[spec.token()] for spec in cells}, impair
-    )
-
-
 def figure_ids() -> List[str]:
     """All known experiment ids, in paper order."""
     return list(CELL_MODEL)
 
 
-def run_figure(
-    figure_id: str,
-    profile_engine: bool = False,
-    impair: Optional[str] = None,
-) -> FigureResult:
-    """Run one experiment by id, sequentially in this process.
+def run_figure(figure_id: str, impair: Optional[str] = None) -> FigureResult:
+    """Run one experiment by id, sequentially in this process, uncached.
 
-    With ``profile_engine=True`` every simulator the experiment constructs
-    is profiled (events/sec, heap hygiene, per-component histogram) and the
-    rendered profile is attached as ``result.engine_profile``. Profiling
-    never perturbs results — figures are bit-identical either way. Note
-    the in-process memo: cells already executed in this process (by an
-    earlier figure or sweep) are not re-simulated, so a profile covers
-    only the cells this call actually ran.
-
+    This is :func:`~repro.harness.runner.run_sweep` for one figure with
+    ``jobs=1`` and no cache; use ``run_sweep`` directly for parallelism,
+    caching, per-cell timings, engine profiles or the other sweep axes.
     ``impair`` is an :meth:`ImpairmentSpec.parse` string forwarded to
-    experiments that take an impairment axis (currently ``ext4``); passing
-    it to any other experiment is an error rather than a silent no-op.
-
-    For multi-figure parallel execution, caching, and per-cell timings use
-    :func:`repro.harness.runner.run_sweep` (the ``repro-figure --jobs``
-    path), which produces byte-identical figures.
+    experiments that take an impairment axis (currently ``ext4``);
+    passing it to any other experiment raises ``ValueError``.
     """
-    try:
-        model = CELL_MODEL[figure_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {figure_id!r}; known: {', '.join(CELL_MODEL)}"
-        ) from None
-    if impair is not None and not model.has_impair_axis:
-        raise ValueError(
-            f"experiment {figure_id!r} has no --impair axis"
-        )
-    if not profile_engine:
-        return _run_inline(figure_id, impair=impair)
-    from ..stats.engineprof import profiled
-
-    with profiled() as profiler:
-        result = _run_inline(figure_id, impair=impair)
-    result.engine_profile = profiler.render()
-    return result
+    return run_sweep([figure_id], jobs=1, impair=impair,
+                     cache_dir=None).figures[0]

@@ -10,9 +10,9 @@ This module exploits that:
 
 * :class:`CellSpec` — a picklable description of one cell, enumerated per
   figure by :mod:`repro.harness.figures`;
-* :func:`run_sweep` — fans unique cells out over a
-  ``ProcessPoolExecutor`` (``--jobs N``; ``--jobs 1`` preserves the
-  in-process sequential path) and then **merges in spec order**: figures
+* :func:`run_sweep` — the one way a figure runs: fans unique cells out
+  over a ``ProcessPoolExecutor`` (``--jobs N``; ``--jobs 1`` runs them
+  in-process, in spec order) and then **merges in spec order**: figures
   are assembled from the result mapping exactly as a sequential run would
   build them, so reports, acceptance checks, and CSV exports are
   byte-identical whatever the parallelism;
@@ -23,8 +23,8 @@ This module exploits that:
   (``.repro-cache/``), keyed by a hash of the cell spec plus the package
   version, so re-running ``all`` after an interrupt — or after editing
   one figure's parameters — re-executes only the stale cells;
-* :class:`CellTiming` — per-cell wall-clock / peak-RSS / engine-event
-  accounting behind ``repro-figure --timings``.
+* :class:`CellTiming` — per-cell wall-clock / peak-RSS / engine-profile
+  accounting behind ``repro-figure --timings`` and ``--profile-engine``.
 
 Determinism argument, in one paragraph: a cell's result depends only on
 its spec (the runner's keyword arguments), never on wall-clock time,
@@ -48,7 +48,7 @@ import pickle
 import sys
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -68,7 +68,6 @@ __all__ = [
     "apply_axes",
     "canonical",
     "execute_cell",
-    "execute_cells_inline",
     "run_sweep",
     "DEFAULT_CACHE_DIR",
 ]
@@ -89,6 +88,9 @@ CACHE_SCHEMA = 6
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+#: An engine profile: :meth:`repro.stats.engineprof.EngineProfiler.snapshot`.
+Profile = Dict[str, Any]
 
 
 def _package_version() -> str:
@@ -197,14 +199,15 @@ class FigureCells:
 
 
 def execute_cell(spec: CellSpec,
-                 profile: bool = False) -> Tuple[Any, Optional[int]]:
-    """Run one cell in this process; returns (result, engine events).
+                 profile: bool = False) -> Tuple[Any, Optional[Profile]]:
+    """Run one cell in this process; returns (result, engine profile).
 
     With ``profile=True`` the cell runs under its own
-    :class:`~repro.stats.engineprof.EngineProfiler` and the executed-event
-    count is returned (profiling never perturbs results). Do not profile
-    from inside an outer :func:`~repro.stats.engineprof.profiled` block —
-    the engine has a single default-profiler slot.
+    :class:`~repro.stats.engineprof.EngineProfiler` and its
+    :meth:`~repro.stats.engineprof.EngineProfiler.snapshot` is returned
+    (profiling never perturbs results). Do not profile from inside an
+    outer :func:`~repro.stats.engineprof.profiled` block — the engine has
+    a single default-profiler slot.
     """
     from .experiments import RUNNERS
 
@@ -220,43 +223,13 @@ def execute_cell(spec: CellSpec,
 
     with profiled() as profiler:
         value = fn(**spec.kwargs)
-    events = profiler.events
+    snapshot = profiler.snapshot()
     # Sharded cells run their engines in worker processes the in-process
     # profiler cannot observe; the workers report their executed-event
     # counts through ``shard_stats``, so fold those in.
     for stats in getattr(value, "shard_stats", None) or []:
-        events += stats["events_processed"]
-    return value, events
-
-
-#: Process-local memo for the legacy in-process path (``run_figure``):
-#: token -> result. Generalises the old fig7/fig8 web-sweep memo to every
-#: cell — ``repro-figure all`` and a benchmark session never run the same
-#: deterministic simulation twice in one process.
-_MEMO: Dict[str, Any] = {}
-
-
-def execute_cells_inline(specs: List[CellSpec],
-                         memo: bool = True) -> Dict[str, Any]:
-    """Run cells sequentially in-process; returns ``{token: result}``.
-
-    This is "today's path": no pool, no pickling, spec order. With
-    ``memo=True`` results are remembered for the life of the process
-    (sound because cells are deterministic functions of their token).
-    """
-    out: Dict[str, Any] = {}
-    for spec in specs:
-        token = spec.token()
-        if token in out:
-            continue
-        if memo and token in _MEMO:
-            out[token] = _MEMO[token]
-            continue
-        value, _ = execute_cell(spec)
-        if memo:
-            _MEMO[token] = value
-        out[token] = value
-    return out
+        snapshot["events"] += stats["events_processed"]
+    return value, snapshot
 
 
 def _peak_rss_kib() -> int:
@@ -271,13 +244,17 @@ def _peak_rss_kib() -> int:
     return int(peak)
 
 
-def _pool_task(spec: CellSpec, profile: bool) -> Tuple[str, Any, float, int,
-                                                       Optional[int]]:
-    """Worker-side cell execution (top-level for picklability)."""
+def _pool_task(spec: CellSpec,
+               profile: bool) -> Tuple[Any, float, int, Optional[Profile]]:
+    """Timed cell execution: (result, wall s, peak RSS KiB, profile).
+
+    Top-level so a pool worker can unpickle it; ``--jobs 1`` calls it
+    in-process.
+    """
     started = time.perf_counter()
-    value, events = execute_cell(spec, profile=profile)
+    value, profile_snapshot = execute_cell(spec, profile=profile)
     wall = time.perf_counter() - started
-    return spec.token(), value, wall, _peak_rss_kib(), events
+    return value, wall, _peak_rss_kib(), profile_snapshot
 
 
 # --------------------------------------------------------------------- cache
@@ -344,10 +321,16 @@ class CellTiming:
     #: allocation — it answers "how big did the worker get", which is the
     #: capacity-planning question.
     peak_rss_kib: int = 0
-    #: Engine events the cell executed (None when not profiled).
-    events: Optional[int] = None
+    #: The cell's :meth:`~repro.stats.engineprof.EngineProfiler.snapshot`
+    #: (None when not profiled or cached).
+    profile: Optional[Profile] = None
     #: Flight-recorder events the cell captured (None unless traced).
     recorder_events: Optional[int] = None
+
+    @property
+    def events(self) -> Optional[int]:
+        """Engine events the cell executed (None when not profiled)."""
+        return None if self.profile is None else self.profile["events"]
 
 
 @dataclass
@@ -364,6 +347,10 @@ class SweepOutcome:
     #: Per traced cell, ``(figure_id, key, trace events)`` in spec order —
     #: the deterministic merge order, independent of ``--jobs``.
     traces: List[Tuple[str, str, List[Any]]] = field(default_factory=list)
+    #: Per figure id, with ``collect_timings``: the merged engine profile
+    #: of the figure's executed cells (unique tokens, spec order; cached
+    #: cells excluded).
+    profiles: Dict[str, Profile] = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
@@ -526,7 +513,9 @@ def run_sweep(
     ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1`` runs every cell
     sequentially in this process (no pool, no pickling). ``cache_dir=None``
     disables the on-disk cache. The returned figures are in ``figure_ids``
-    order and byte-identical to a sequential run.
+    order and byte-identical to a sequential run. ``collect_timings``
+    profiles every executed cell and merges each figure's profiles into
+    ``SweepOutcome.profiles``; a cell two figures share counts in both.
 
     ``trace``, ``shards``, ``fidelity`` and ``schedule`` are the sweep
     axes, threaded into each cell by :func:`apply_axes`; a figure where
@@ -578,6 +567,18 @@ def run_sweep(
                 continue
         pending.append(spec)
 
+    def finish(spec: CellSpec, value: Any, wall: float, rss: int,
+               profile: Optional[Profile]) -> None:
+        token = spec.token()
+        results[token] = value
+        timing_by_token[token] = CellTiming(
+            spec.figure_id, spec.key, token, cached=False, wall_s=wall,
+            peak_rss_kib=rss, profile=profile,
+            recorder_events=_recorder_events(spec, value),
+        )
+        if cache is not None:
+            cache.store(token, value)
+
     if pending and jobs > 1:
         # Submission in spec order; completion order is irrelevant because
         # results are merged by token.
@@ -586,33 +587,11 @@ def run_sweep(
                 pool.submit(_pool_task, spec, collect_timings): spec
                 for spec in pending
             }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    spec = futures[future]
-                    token, value, wall, rss, events = future.result()
-                    results[token] = value
-                    timing_by_token[token] = CellTiming(
-                        spec.figure_id, spec.key, token, cached=False,
-                        wall_s=wall, peak_rss_kib=rss, events=events,
-                        recorder_events=_recorder_events(spec, value),
-                    )
-                    if cache is not None:
-                        cache.store(token, value)
+            for future in as_completed(futures):
+                finish(futures[future], *future.result())
     else:
         for spec in pending:
-            cell_started = time.perf_counter()
-            value, events = execute_cell(spec, profile=collect_timings)
-            results[spec.token()] = value
-            timing_by_token[spec.token()] = CellTiming(
-                spec.figure_id, spec.key, spec.token(), cached=False,
-                wall_s=time.perf_counter() - cell_started,
-                peak_rss_kib=_peak_rss_kib(), events=events,
-                recorder_events=_recorder_events(spec, value),
-            )
-            if cache is not None:
-                cache.store(spec.token(), value)
+            finish(spec, *_pool_task(spec, collect_timings))
 
     figures = [
         CELL_MODEL[figure_id].build(
@@ -635,6 +614,17 @@ def run_sweep(
                         figure_id, spec.key,
                         list(getattr(value, "trace_events", []) or []),
                     ))
+    profiles: Dict[str, Profile] = {}
+    if collect_timings:
+        from ..stats.engineprof import merge
+
+        for figure_id in figure_ids:
+            tokens = dict.fromkeys(spec.token()
+                                   for spec in per_figure[figure_id])
+            profiles[figure_id] = merge(
+                timing_by_token[token].profile for token in tokens
+                if not timing_by_token[token].cached
+            )
     return SweepOutcome(
         figures=figures,
         timings=timings,
@@ -644,4 +634,5 @@ def run_sweep(
         jobs=jobs,
         wall_s=time.perf_counter() - started,
         traces=traces,
+        profiles=profiles,
     )

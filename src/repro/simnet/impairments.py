@@ -457,8 +457,8 @@ class Handover(Impairment):
 
 
 class FunctionLoss(Impairment):
-    """Adapter subsuming the legacy ``Interface.loss_fn`` hook: drop every
-    packet for which ``fn(packet)`` is true, charged as ``"injected"``."""
+    """The stage behind :meth:`Interface.set_loss`: drop every packet for
+    which ``fn(packet)`` is true, charged as ``"injected"``."""
 
     reason = "injected"
 

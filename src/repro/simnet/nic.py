@@ -23,11 +23,11 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from .engine import Simulator
 from .errors import ConfigurationError
+from .impairments import FunctionLoss, ImpairmentChain
 from .packet import Packet
 from .queues import DropTailQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .impairments import ImpairmentChain
     from .node import Node
 
 __all__ = ["Interface", "TapFn"]
@@ -80,20 +80,17 @@ class Interface:
         #: off; each packet-event site pays one is-None check and nothing
         #: else, so determinism pins and engine benchmarks are unchanged.
         self.recorder = None
-        #: Optional fault injector: packets for which this returns True are
-        #: dropped before queueing (used by loss experiments and tests).
-        self.loss_fn: Optional[Callable[[Packet], bool]] = None
         #: Optional impairment pipeline (loss models, reordering,
         #: duplication, corruption, flaps); ``None`` costs one attribute
         #: check per packet and schedules no events.
-        self._impairments: Optional["ImpairmentChain"] = None
+        self._impairments: Optional[ImpairmentChain] = None
         #: Administrative state: a downed interface drops everything
         #: (set via Network.fail_link / restore_link).
         self.up = True
         #: Unified drop taxonomy: reason -> count. Every egress drop on
         #: this interface lands here under exactly one reason — "down"
-        #: (administratively down), "injected" (legacy ``loss_fn``),
-        #: "queue" (discipline rejected it), "shaper" (a wrapping
+        #: (administratively down), "injected" (a :meth:`set_loss`
+        #: predicate), "queue" (discipline rejected it), "shaper" (a wrapping
         #: ShapedInterface's backlog overflowed), or an impairment-stage
         #: reason ("loss", "reorder"…, "flap"). Mirrored into
         #: ``sim.counters["drop.<reason>"]`` for engine-wide summaries.
@@ -139,10 +136,19 @@ class Interface:
             tap(kind, self.sim.now, packet)
 
     def set_loss(self, loss_fn: Optional[Callable[[Packet], bool]]) -> None:
-        """Install (or clear) a deterministic loss injector."""
-        self.loss_fn = loss_fn
+        """Drop every packet for which ``loss_fn(packet)`` is true.
 
-    def set_impairments(self, chain: Optional["ImpairmentChain"]) -> None:
+        Drops are charged as ``"injected"``. This installs a one-stage
+        impairment chain (:class:`~repro.simnet.impairments.FunctionLoss`),
+        so it **replaces any chain** attached with :meth:`set_impairments`;
+        ``None`` clears it.
+        """
+        self.set_impairments(
+            None if loss_fn is None
+            else ImpairmentChain([FunctionLoss(loss_fn)])
+        )
+
+    def set_impairments(self, chain: Optional[ImpairmentChain]) -> None:
         """Attach (or clear) an impairment pipeline on this egress.
 
         Stages get lifecycle callbacks: the outgoing chain's stages are
@@ -162,19 +168,19 @@ class Interface:
         """True when this egress is a pure delay+bandwidth+droptail pipe.
 
         The fluid fast path (:mod:`repro.simnet.fluid`) may only model a
-        hop it can express in closed form: no loss injector, impairment
-        chain, tap, recorder or jitter (all per-packet decisions), no
-        cross-shard egress channel (those packets must really cross the
-        boundary inside the lookahead window), no schedule change still
-        pending (a closed-form hold would integrate straight across the
-        discontinuity), and a drop-tail queue. Re-checked every fluid
+        hop it can express in closed form: no impairment chain (a
+        :meth:`set_loss` predicate included), tap, recorder or jitter (all
+        per-packet decisions), no cross-shard egress channel (those
+        packets must really cross the boundary inside the lookahead
+        window), no schedule change still pending (a closed-form hold
+        would integrate straight across the discontinuity), and a
+        drop-tail queue. Re-checked every fluid
         step, so installing any of these mid-run demotes the flows riding
         this hop back to packet level.
         """
         return (
             self.up
             and self.egress_channel is None
-            and self.loss_fn is None
             and self._impairments is None
             and not self._taps
             and self.recorder is None
@@ -205,7 +211,7 @@ class Interface:
 
     @property
     def injected_losses(self) -> int:
-        """Packets dropped by the legacy ``loss_fn`` hook."""
+        """Packets dropped by a :meth:`set_loss` predicate."""
         return self.drops.get("injected", 0)
 
     @property
@@ -230,9 +236,6 @@ class Interface:
             raise ConfigurationError(f"interface {self.name} is not connected")
         if not self.up:
             self._drop(packet, "down")
-            return
-        if self.loss_fn is not None and self.loss_fn(packet):
-            self._drop(packet, "injected")
             return
         chain = self._impairments
         if chain is not None:

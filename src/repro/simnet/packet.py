@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-__all__ = ["Packet", "PacketPool", "SHARED_POOL", "IP_HEADER_BYTES",
-           "DEFAULT_TTL"]
+__all__ = ["Packet", "IP_HEADER_BYTES", "DEFAULT_TTL"]
 
 #: Nominal IPv4 header size charged on every packet.
 IP_HEADER_BYTES = 20
@@ -91,78 +90,3 @@ class Packet:
             f"Packet(#{self.uid} {self.src}->{self.dst} {self.protocol} "
             f"{self.size_bytes}B flow={self.flow_id})"
         )
-
-
-class PacketPool:
-    """A freelist that recycles :class:`Packet` objects.
-
-    High-rate datagram workloads (CBR cross traffic, tracker chatter)
-    allocate and discard a packet per message; the pool lets the layer that
-    *consumes* a packet hand the object back for the next send. Recycled
-    packets always receive a **fresh** ``uid`` so traces and per-flow
-    statistics still see distinct packets — only the object allocation is
-    reused, never the identity.
-
-    Release discipline: only release a packet once nothing holds a
-    reference to it (taps copy fields, so after a protocol handler returns
-    the packet is dead). Never release a packet whose ``payload`` is still
-    in use unless the payload itself is owned elsewhere.
-    """
-
-    def __init__(self, max_size: int = 1024) -> None:
-        self.max_size = max_size
-        self._free: List[Packet] = []
-        #: Allocations served from the freelist (observability).
-        self.reused = 0
-
-    def acquire(
-        self,
-        src: str,
-        dst: str,
-        protocol: str,
-        size_bytes: int,
-        payload: Any = None,
-        flow_id: Optional[str] = None,
-        ecn_capable: bool = False,
-    ) -> Packet:
-        """A packet with the given fields — recycled when one is free."""
-        free = self._free
-        if free:
-            packet = free.pop()
-            if size_bytes <= 0:
-                raise ValueError(
-                    f"packet size must be positive, got {size_bytes}"
-                )
-            packet.src = src
-            packet.dst = dst
-            packet.protocol = protocol
-            packet.size_bytes = size_bytes
-            packet.payload = payload
-            packet.flow_id = flow_id
-            packet.ttl = DEFAULT_TTL
-            packet.created_at = 0.0
-            packet.ecn_capable = ecn_capable
-            packet.ce = False
-            packet.corrupted = False
-            packet.uid = next(_packet_ids)
-            self.reused += 1
-            return packet
-        return Packet(
-            src=src,
-            dst=dst,
-            protocol=protocol,
-            size_bytes=size_bytes,
-            payload=payload,
-            flow_id=flow_id,
-            ecn_capable=ecn_capable,
-        )
-
-    def release(self, packet: Packet) -> None:
-        """Return a dead packet to the pool (drops the payload reference)."""
-        if len(self._free) < self.max_size:
-            packet.payload = None
-            self._free.append(packet)
-
-
-#: Process-wide pool used by layers with a clear consume point (UDP).
-SHARED_POOL = PacketPool()

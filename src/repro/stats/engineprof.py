@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from ..simnet.engine import Simulator, set_default_profiler
 
-__all__ = ["EngineProfiler", "NAMESPACES", "profiled"]
+__all__ = ["EngineProfiler", "NAMESPACES", "merge", "profiled", "render"]
 
 #: Counter namespaces reported in their own sections, in render order:
 #: (snapshot key, counter prefix, render heading). Each is published into
@@ -106,94 +106,146 @@ class EngineProfiler:
         """Wall-clock seconds since the profiler was created."""
         return time.perf_counter() - self._t0
 
-    @property
-    def events_per_sec(self) -> float:
-        """Executed events per wall-clock second while profiled."""
-        elapsed = self.wall_s
-        return self.events / elapsed if elapsed > 0 else 0.0
-
     def counters(self) -> Dict[str, int]:
         """Named engine counters (drop taxonomy, TCP accounting) merged
         across every attached simulator, sorted by key for stable output."""
         merged: Dict[str, int] = {}
         for sim in self.sims:
-            for key, value in sim.counters.items():
-                merged[key] = merged.get(key, 0) + value
+            _add(merged, sim.counters)
         return dict(sorted(merged.items()))
 
     def namespace(self, prefix: str) -> Dict[str, int]:
         """The counters under ``prefix`` (e.g. ``"fluid."``), prefix cut."""
-        return {
-            key[len(prefix):]: value
-            for key, value in self.counters().items()
-            if key.startswith(prefix)
-        }
+        return _namespace(self.counters(), prefix)
 
     def snapshot(self) -> Dict[str, object]:
-        """All counters as one plain dict (JSON-friendly)."""
-        snap: Dict[str, object] = {
-            key: self.namespace(prefix) for key, prefix, _ in NAMESPACES
-        }
-        snap.update({
+        """All counters as one plain dict (JSON-friendly).
+
+        ``by_component`` is in first-seen order; only :func:`render` ranks
+        it, so :func:`merge` of per-run snapshots breaks count ties
+        exactly as one profiler spanning the same runs would.
+        """
+        sims = self.sims
+        totals = {
             "events": self.events,
             "wall_s": self.wall_s,
-            "events_per_sec": self.events_per_sec,
-            "simulators": len(self.sims),
-            "live_events": sum(sim.pending() for sim in self.sims),
-            "heap_len": sum(sim.heap_len() for sim in self.sims),
-            "max_heap_len": max(
-                (sim.max_heap_len for sim in self.sims), default=0
-            ),
-            "compactions": sum(sim.compactions for sim in self.sims),
+            "simulators": len(sims),
+            "live_events": sum(sim.pending() for sim in sims),
+            "heap_len": sum(sim.heap_len() for sim in sims),
+            "compactions": sum(sim.compactions for sim in sims),
             "dead_entries_reaped": sum(
-                sim.dead_entries_reaped for sim in self.sims
+                sim.dead_entries_reaped for sim in sims
             ),
-            "counters": self.counters(),
-            "by_component": dict(
-                sorted(
-                    self.by_component.items(),
-                    key=lambda item: item[1],
-                    reverse=True,
-                )
-            ),
-        })
-        return snap
+        }
+        max_heap_len = max((sim.max_heap_len for sim in sims), default=0)
+        return _snapshot(totals, max_heap_len, self.counters(),
+                         dict(self.by_component))
 
     def render(self, top: int = 12) -> str:
         """Human-readable profile (the harness appends this to reports)."""
-        snap = self.snapshot()
-        lines = [
-            "engine profile:",
-            f"  events executed   {snap['events']:>12,}",
-            f"  wall time         {snap['wall_s']:>12.3f} s",
-            f"  events/sec        {snap['events_per_sec']:>12,.0f}",
-            f"  simulators        {snap['simulators']:>12}",
-            f"  peak heap length  {snap['max_heap_len']:>12,}",
-            f"  compactions       {snap['compactions']:>12,}",
-            f"  dead entries      {snap['dead_entries_reaped']:>12,}",
-        ]
-        sections = [(heading, snap[key]) for key, _, heading in NAMESPACES]
-        prefixes = tuple(prefix for _, prefix, _ in NAMESPACES)
-        sections.append(("counters", {
-            k: v for k, v in snap["counters"].items()
-            if not k.startswith(prefixes)
-        }))
-        for heading, section in sections:
-            if section:
-                lines.append(f"  {heading}:")
-                width = max(len(k) for k in section)
-                for name, count in section.items():
-                    lines.append(f"    {name:<{width}}  {count:>10,}")
-        histogram = snap["by_component"]
-        if histogram:
-            lines.append(f"  top {min(top, len(histogram))} components:")
-            width = max(len(k) for k in list(histogram)[:top])
-            for name, count in list(histogram.items())[:top]:
-                share = count / snap["events"] if snap["events"] else 0.0
-                lines.append(
-                    f"    {name:<{width}}  {count:>10,}  ({share:5.1%})"
-                )
-        return "\n".join(lines)
+        return render(self.snapshot(), top)
+
+
+#: Snapshot keys that add up across runs.
+_SUMMED = ("events", "wall_s", "simulators", "live_events", "heap_len",
+           "compactions", "dead_entries_reaped")
+
+
+def _add(into: Dict[str, int], counts: Mapping[str, int]) -> None:
+    for key, value in counts.items():
+        into[key] = into.get(key, 0) + value
+
+
+def _namespace(counters: Mapping[str, int], prefix: str) -> Dict[str, int]:
+    return {
+        key[len(prefix):]: value
+        for key, value in counters.items()
+        if key.startswith(prefix)
+    }
+
+
+def _snapshot(totals: Mapping[str, float], max_heap_len: int,
+              counters: Dict[str, int],
+              by_component: Dict[str, int]) -> Dict[str, object]:
+    """The snapshot dict, keys in their pinned order."""
+    snap: Dict[str, object] = {
+        key: _namespace(counters, prefix) for key, prefix, _ in NAMESPACES
+    }
+    events, wall = totals["events"], totals["wall_s"]
+    snap.update({
+        "events": events,
+        "wall_s": wall,
+        "events_per_sec": events / wall if wall > 0 else 0.0,
+        "simulators": totals["simulators"],
+        "live_events": totals["live_events"],
+        "heap_len": totals["heap_len"],
+        "max_heap_len": max_heap_len,
+        "compactions": totals["compactions"],
+        "dead_entries_reaped": totals["dead_entries_reaped"],
+        "counters": counters,
+        "by_component": by_component,
+    })
+    return snap
+
+
+def merge(snapshots: Iterable[Mapping[str, object]]) -> Dict[str, object]:
+    """Fold :meth:`EngineProfiler.snapshot` dicts into one, in order.
+
+    Counts, counters and wall time add; ``max_heap_len`` takes the
+    maximum; events/sec is recomputed from the summed wall time. Folding
+    the snapshots of consecutive runs equals one profiler spanning them
+    in every key but ``wall_s`` and ``events_per_sec``. No snapshots
+    merge to a zero profile.
+    """
+    totals = dict.fromkeys(_SUMMED, 0)
+    max_heap_len = 0
+    counters: Dict[str, int] = {}
+    by_component: Dict[str, int] = {}
+    for snap in snapshots:
+        for key in _SUMMED:
+            totals[key] += snap[key]
+        max_heap_len = max(max_heap_len, snap["max_heap_len"])
+        _add(counters, snap["counters"])
+        _add(by_component, snap["by_component"])
+    return _snapshot(totals, max_heap_len, dict(sorted(counters.items())),
+                     by_component)
+
+
+def render(snapshot: Mapping[str, object], top: int = 12) -> str:
+    """Human-readable profile of a snapshot, components ranked by count
+    (a stable sort: ties keep first-seen order)."""
+    snap = snapshot
+    lines = [
+        "engine profile:",
+        f"  events executed   {snap['events']:>12,}",
+        f"  wall time         {snap['wall_s']:>12.3f} s",
+        f"  events/sec        {snap['events_per_sec']:>12,.0f}",
+        f"  simulators        {snap['simulators']:>12}",
+        f"  peak heap length  {snap['max_heap_len']:>12,}",
+        f"  compactions       {snap['compactions']:>12,}",
+        f"  dead entries      {snap['dead_entries_reaped']:>12,}",
+    ]
+    sections = [(heading, snap[key]) for key, _, heading in NAMESPACES]
+    prefixes = tuple(prefix for _, prefix, _ in NAMESPACES)
+    sections.append(("counters", {
+        k: v for k, v in snap["counters"].items()
+        if not k.startswith(prefixes)
+    }))
+    for heading, section in sections:
+        if section:
+            lines.append(f"  {heading}:")
+            width = max(len(k) for k in section)
+            for name, count in section.items():
+                lines.append(f"    {name:<{width}}  {count:>10,}")
+    ranked = sorted(snap["by_component"].items(), key=lambda item: item[1],
+                    reverse=True)[:top]
+    if ranked:
+        lines.append(f"  top {len(ranked)} components:")
+        width = max(len(name) for name, _ in ranked)
+        for name, count in ranked:
+            share = count / snap["events"] if snap["events"] else 0.0
+            lines.append(f"    {name:<{width}}  {count:>10,}  ({share:5.1%})")
+    return "\n".join(lines)
 
 
 @contextmanager

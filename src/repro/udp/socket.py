@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..simnet.errors import AddressError
 from ..simnet.node import Node
-from ..simnet.packet import IP_HEADER_BYTES, SHARED_POOL, Packet
+from ..simnet.packet import IP_HEADER_BYTES, Packet
 
 __all__ = ["Datagram", "UdpSocket", "UdpStack", "UDP_HEADER_BYTES"]
 
@@ -76,16 +76,10 @@ class UdpSocket:
             size_bytes=size_bytes,
             payload=payload,
         )
-        # Datagrams have a clear consume point (the receiving stack), so
-        # the wire packet rides the shared freelist instead of allocating.
-        packet = SHARED_POOL.acquire(
-            src=self.node.name,
-            dst=remote_addr,
-            protocol="udp",
-            size_bytes=IP_HEADER_BYTES + UDP_HEADER_BYTES + size_bytes,
-            payload=datagram,
-            flow_id=flow_id,
-        )
+        # Positional: keyword matching costs as much as the construction.
+        packet = Packet(self.node.name, remote_addr, "udp",
+                        IP_HEADER_BYTES + UDP_HEADER_BYTES + size_bytes,
+                        datagram, flow_id)
         self.datagrams_sent += 1
         self.node.send(packet)
 
@@ -150,14 +144,10 @@ class UdpStack:
             self.checksum_drops += 1
             counters = self.node.sim.counters
             counters["drop.checksum"] = counters.get("drop.checksum", 0) + 1
-            SHARED_POOL.release(packet)
             return
         datagram = packet.payload
         if not isinstance(datagram, Datagram):
             raise AddressError(f"non-UDP payload delivered to UdpStack: {packet!r}")
-        # The packet object is dead once the datagram is handed off (taps
-        # copy fields, applications see only the Datagram) — recycle it.
-        SHARED_POOL.release(packet)
         sock = self._sockets.get(datagram.dst_port)
         if sock is None:
             self.dropped_unbound += 1

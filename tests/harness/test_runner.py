@@ -1,8 +1,8 @@
 """The parallel sweep runner: determinism, dedup, caching, CLI surface.
 
 The load-bearing claim is bit-exactness: ``run_sweep(jobs=N)`` must
-produce byte-identical figure reports to ``jobs=1`` (and to the classic
-``run_figure`` path), because cells are pure functions of their spec. The
+produce byte-identical figure reports to ``jobs=1`` (which is what
+``run_figure`` runs), because cells are pure functions of their spec. The
 pinned figures deliberately span the risk surface — fig3 (a wide
 multi-TDF bulk sweep), fig9 (the seeded BitTorrent swarm, the most
 event-ordering-sensitive experiment), ext4 (the impairment axis).
@@ -10,6 +10,7 @@ event-ordering-sensitive experiment), ext4 (the impairment axis).
 
 import dataclasses
 import pickle
+import re
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.harness.runner import (
     CellSpec,
     ResultCache,
     canonical,
-    execute_cells_inline,
     run_sweep,
 )
 
@@ -110,12 +110,6 @@ class TestBitExactMerge:
         assert sequential.all_passed
         assert parallel.all_passed
 
-    def test_matches_classic_run_figure(self, parallel):
-        from repro.harness.figures import run_figure
-
-        for figure in parallel.figures:
-            assert figure.render() == run_figure(figure.figure_id).render()
-
     def test_merge_is_in_request_order(self):
         out = run_sweep(["table2", "table1"], jobs=1, cache_dir=None)
         assert [f.figure_id for f in out.figures] == ["table2", "table1"]
@@ -129,6 +123,9 @@ class TestSweepMechanics:
         assert out.cells_total == 5
         assert out.cells_executed == 5
         assert out.figures[0].all_passed
+        # Unprofiled without collect_timings.
+        assert out.profiles == {}
+        assert all(t.events is None for t in out.timings)
 
     def test_unknown_figure_raises(self):
         with pytest.raises(KeyError):
@@ -144,18 +141,17 @@ class TestSweepMechanics:
             run_sweep(["table2"], jobs=0, cache_dir=None)
 
     def test_timings_cover_every_unique_cell(self):
-        out = run_sweep(["table2"], jobs=1, cache_dir=None,
+        out = run_sweep(["table2", "table1"], jobs=1, cache_dir=None,
                         collect_timings=True)
         assert len(out.timings) == out.cells_total
         assert all(t.events is not None for t in out.timings)
         assert "table2" in out.timings_table()
-
-    def test_inline_memo_skips_repeat_work(self):
-        specs = CELL_MODEL["table2"].cells()
-        first = execute_cells_inline(specs)
-        second = execute_cells_inline(specs)
-        for token, value in first.items():
-            assert second[token] is value  # memo returns the same object
+        # One merged profile per figure; table1 builds no simulator.
+        assert list(out.profiles) == ["table2", "table1"]
+        assert out.profiles["table2"]["events"] == sum(
+            t.events for t in out.timings
+        ) > 0
+        assert out.profiles["table1"]["events"] == 0
 
 
 class TestResultCache:
@@ -163,10 +159,13 @@ class TestResultCache:
         cache_dir = str(tmp_path / "cache")
         first = run_sweep(["table2"], jobs=1, cache_dir=cache_dir)
         assert first.cells_cached == 0
-        second = run_sweep(["table2"], jobs=1, cache_dir=cache_dir)
+        second = run_sweep(["table2"], jobs=1, cache_dir=cache_dir,
+                           collect_timings=True)
         assert second.cells_cached == second.cells_total
         assert second.cells_executed == 0
         assert "100.0%" in second.cache_summary()
+        # Cached cells carry no profile, so the figure's merge is empty.
+        assert second.profiles["table2"]["events"] == 0
         assert (
             second.figures[0].render() == first.figures[0].render()
         )
@@ -242,7 +241,11 @@ class TestCliSweep:
                          "--no-cache"]) == 2
         assert "no --impair axis" in capsys.readouterr().err
 
-    def test_profile_engine_keeps_sequential_path(self, capsys):
-        assert cli.main(["table2", "--profile-engine"]) == 0
+    def test_profile_engine_composes_with_timings_and_jobs(self, capsys):
+        assert cli.main(["table2", "--profile-engine", "--timings",
+                         "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "s wall" in out
+        assert "Per-cell timings (2 job(s)" in out
+        profiled = re.search(r"events executed\s+([\d,]+)", out).group(1)
+        timed = re.search(r"([\d,]+) engine events", out).group(1)
+        assert profiled == timed != "0"

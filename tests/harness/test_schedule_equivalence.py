@@ -98,8 +98,10 @@ def test_cli_schedule_rejects_bad_spec(capsys):
     assert "unknown schedule kind" in capsys.readouterr().err
 
 
-def test_cli_schedule_incompatible_with_profile_engine(capsys):
+def test_cli_schedule_composes_with_profile_engine(capsys):
     assert cli.main(
         ["ext6", "--profile-engine", "--schedule", "leo"]
-    ) == 2
-    assert "--schedule cannot be combined" in capsys.readouterr().err
+    ) == 0
+    out = capsys.readouterr().out
+    assert out.count("engine profile:") == 1
+    assert "LinkSchedule._apply" in out

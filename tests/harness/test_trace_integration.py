@@ -117,10 +117,15 @@ def test_figure_cli_trace_flag(tiny_figure, tmp_path, capsys):
     assert cells == sorted(cells, key=["tdf1", "tdf10"].index)
 
 
-def test_figure_cli_trace_rejects_profile_engine(tiny_figure, capsys):
-    rc = cli.main(["figtest", "--trace", "bottleneck", "--profile-engine"])
-    assert rc == 2
-    assert "--profile-engine" in capsys.readouterr().err
+def test_figure_cli_trace_composes_with_profile_engine(tiny_figure,
+                                                       tmp_path, capsys):
+    rc = cli.main(["figtest", "--trace", "bottleneck",
+                   "--trace-dir", str(tmp_path), "--profile-engine"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert (tmp_path / "figtest.jsonl").exists()
+    assert out.count("engine profile:") == 1
+    assert "trace:" in out
 
 
 def test_figure_cli_trace_bad_spec(tiny_figure, capsys):

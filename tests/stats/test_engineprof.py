@@ -2,7 +2,7 @@
 
 from repro.simnet import engine
 from repro.simnet.engine import Simulator
-from repro.stats.engineprof import EngineProfiler, profiled
+from repro.stats.engineprof import EngineProfiler, merge, profiled, render
 
 
 def tick():
@@ -199,4 +199,64 @@ def test_render_and_snapshot_pinned_with_every_namespace():
         "    tcp.retransmits       1,234",
         "  top 1 components:",
         "    tick           1  (100.0%)",
+    ]
+
+
+#: Two runs whose ``tick``/``tock`` counts tie (3 each) with ``tock`` seen
+#: first, the reverse of name order; the second run has the taller heap.
+RUNS = (
+    ([(1.0, tock), (2.0, tick)], {"drop.loss": 2, "fluid.entries": 1}),
+    ([(1.0, tick), (2.0, tock), (3.0, tick), (4.0, tock)],
+     {"drop.loss": 3, "tcp.retransmits": 1}),
+)
+
+
+def _drive(profiler, schedule, counters):
+    sim = Simulator()
+    sim.attach_profiler(profiler)
+    for time, fn in schedule:
+        sim.schedule(time, fn)
+    sim.counters.update(counters)
+    sim.run()
+
+
+def _steady(text):
+    return [line for line in text.splitlines()
+            if "wall time" not in line and "events/sec" not in line]
+
+
+def test_merged_snapshots_equal_one_profiler_over_the_same_runs():
+    whole = EngineProfiler()
+    parts = []
+    for schedule, counters in RUNS:
+        _drive(whole, schedule, counters)
+        part = EngineProfiler()
+        _drive(part, schedule, counters)
+        parts.append(part.snapshot())
+    merged = merge(parts)
+    expected = whole.snapshot()
+    for snap in (merged, expected):
+        del snap["wall_s"], snap["events_per_sec"]
+    assert merged == expected
+    assert list(merged) == list(expected)
+    assert list(merged["by_component"]) == ["tock", "tick"]
+    assert merged["max_heap_len"] == 4
+    assert merged["fluid"] == {"entries": 1}
+    assert merged["counters"] == {
+        "drop.loss": 5, "fluid.entries": 1, "tcp.retransmits": 1,
+    }
+    rendered = _steady(render(merge(parts)))
+    assert rendered == _steady(whole.render())
+    assert rendered[-2:] == [
+        "    tock           3  (50.0%)",
+        "    tick           3  (50.0%)",
+    ]
+
+
+def test_empty_merge_is_a_zero_profile():
+    merged = merge([])
+    assert merged["events"] == merged["simulators"] == 0
+    assert merged["by_component"] == {} and merged["counters"] == {}
+    assert _steady(render(merged))[:2] == [
+        "engine profile:", "  events executed              0",
     ]

@@ -2,19 +2,20 @@
 
 Each runner takes a **perceived** (target) network profile and a TDF,
 derives the physical configuration via
-:func:`repro.core.dilation.physical_for`, boots the guests under a
-:class:`~repro.core.vmm.Hypervisor`, drives a workload for a fixed span of
-*virtual* time, and reports metrics in virtual units. Running the same
-function with ``tdf=1`` produces the scaled baseline the paper validates
-against, with identical RNG streams, so results are comparable point by
-point.
+:func:`repro.core.dilation.physical_for`, builds the topology and hands it
+to a :class:`~repro.harness.scenario.Scenario` — the testbed that applies
+the run's axes and boots the guests — then drives a workload for a fixed
+span of *virtual* time and reports metrics in virtual units. Running the
+same function with ``tdf=1`` produces the scaled baseline the paper
+validates against, with identical RNG streams, so results are comparable
+point by point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..apps.bittorrent import PeerConfig, TorrentMeta, build_swarm
 from ..apps.bittorrent.swarm import salt_fraction
@@ -25,21 +26,19 @@ from ..apps.iperf import IperfClient, IperfServer
 from ..apps.streaming import JitterBufferSink, MediaSource
 from ..core.dilation import NetworkProfile, physical_for
 from ..core.tdf import TdfLike, as_tdf
-from ..core.vmm import Hypervisor
-from ..parallel.shard import InProcessShard, run_sharded
-from ..realtime.driver import RealtimeConfig, RealtimeDriver
+from ..parallel.shard import run_sharded
 from ..simnet.errors import ConfigurationError
-from ..simnet.fluid import FluidManager
 from ..simnet.impairments import ImpairmentSpec
 from ..simnet.queues import DropTailQueue
 from ..simnet.schedule import ScheduleSpec
-from ..simnet.topology import Network, build_dumbbell, partition_network
+from ..simnet.topology import Dumbbell, Network, build_dumbbell
 from ..trace.recorder import FlightRecorder
 from ..trace.spec import TraceSpec
 from ..tcp.options import TcpOptions
 from ..tcp.stack import TcpStack
 from ..udp.socket import UdpStack
 from ..workloads.specweb import SpecWebMix
+from .scenario import Scenario, check_axes
 
 __all__ = [
     "BulkFlowResult",
@@ -48,7 +47,6 @@ __all__ = [
     "StreamingResult",
     "CpuResult",
     "CrossTrafficResult",
-    "ConsolidationResult",
     "DynamicTdfResult",
     "run_bulk",
     "run_web",
@@ -56,7 +54,6 @@ __all__ = [
     "run_starlink",
     "run_cpu_task",
     "run_bulk_with_cross_traffic",
-    "run_consolidated",
     "run_dynamic_tdf",
     "default_queue_packets",
     "relative_error",
@@ -65,77 +62,6 @@ __all__ = [
 
 #: Frame size used for queue-sizing arithmetic (MSS + headers).
 FRAME_BYTES = 1500
-
-
-def _check_fidelity(fidelity: str) -> None:
-    """Reject unknown fidelity modes before any topology is built."""
-    if fidelity not in ("packet", "hybrid"):
-        raise ConfigurationError(
-            f"unknown fidelity {fidelity!r}: expected 'packet' or 'hybrid'"
-        )
-
-
-def _check_realtime(realtime, shards: int, _shard) -> None:
-    """Reject realtime pacing on sharded runs before any topology is built.
-
-    Each sharded worker has its own engine, barrier-synchronised with its
-    siblings; pacing any one of them against the wall clock would make the
-    barrier — not the deadline — decide when events fire.
-    """
-    if realtime and (shards != 1 or _shard is not None):
-        raise ConfigurationError(
-            "realtime=True requires shards=1: the wall-clock driver paces "
-            "a single engine"
-        )
-
-
-def _build_driver(realtime, sim, recorder) -> Optional[RealtimeDriver]:
-    """The run's pacing driver: None for batch, a RealtimeDriver otherwise.
-
-    ``realtime`` may be a bare truthy flag (default config) or a
-    :class:`~repro.realtime.driver.RealtimeConfig`. The recorder — when
-    the run was given a TraceSpec — rides along so deadline misses land in
-    ``trace_events`` beside the packet and timer events.
-    """
-    if not realtime:
-        return None
-    config = realtime if isinstance(realtime, RealtimeConfig) else None
-    return RealtimeDriver(sim, config=config, recorder=recorder)
-
-
-def _build_recorder(
-    trace: TraceSpec,
-    ctx,
-    sim,
-    name: str,
-    points: Mapping[str, Tuple[Any, Any]],
-    clock,
-    clock_node,
-    clock_label: str,
-) -> FlightRecorder:
-    """The run's flight recorder, built from ``trace``.
-
-    ``points`` maps each trace point to ``(interface, owning node)``.
-    Every attachment is made only on the shard that owns its node, so a
-    merged sharded trace has no duplicates. The recorder stamps virtual
-    time on ``clock`` and records its epoch changes as ``clock_label``.
-    """
-    if trace.timers and ctx.shards != 1:
-        _check_sharded_trace(trace)
-    recorder = FlightRecorder(
-        capacity=trace.capacity,
-        clock=clock,
-        name=f"{name}:{trace.point}",
-        packet_kinds=trace.kinds,
-    )
-    interface, owner = points[trace.point]
-    if ctx.owns(owner):
-        recorder.attach_interface(interface)
-    if ctx.owns(clock_node):
-        recorder.attach_clock(clock, label=clock_label)
-    if trace.timers:
-        recorder.attach_engine(sim)
-    return recorder
 
 
 def relative_error(measured: float, reference: float) -> float:
@@ -171,6 +97,54 @@ def default_queue_packets(profile: NetworkProfile,
     if snapped > 0 and abs(packets - snapped) < 1e-9 * snapped:
         packets = snapped
     return int(min(max(packets, 20), 4000))
+
+
+def _dumbbell(perceived: NetworkProfile, factor, pairs: int,
+              queue_packets: int) -> Dumbbell:
+    """``pairs`` sender/receiver pairs across the perceived bottleneck,
+    rescaled to ``factor``; access links are 10x faster with ~zero delay."""
+    physical = physical_for(perceived, factor)
+    access = physical_for(
+        NetworkProfile(perceived.bandwidth_bps * 10, 1e-5), factor
+    )
+    return build_dumbbell(
+        pairs=pairs,
+        access_bandwidth_bps=access.bandwidth_bps,
+        bottleneck_bandwidth_bps=physical.bandwidth_bps,
+        bottleneck_delay_s=physical.delay_s,
+        access_delay_s=access.delay_s,
+        queue_factory=lambda: DropTailQueue(capacity_packets=queue_packets),
+    )
+
+
+def _two_hosts(a: str, b: str, bandwidth_bps: float, delay_s: float,
+               queue_packets: int):
+    """A finalized two-node network joined by one drop-tail link;
+    returns ``(network, node_a, node_b)``."""
+    net = Network()
+    node_a = net.add_node(a)
+    node_b = net.add_node(b)
+    net.add_link(node_a, node_b, bandwidth_bps, delay_s,
+                 queue_factory=lambda: DropTailQueue(
+                     capacity_packets=queue_packets))
+    net.finalize()
+    return net, node_a, node_b
+
+
+def _transfer_bytes(perceived: NetworkProfile, duration_s: float) -> int:
+    """A bulk transfer that never finishes inside the measurement window:
+    twice what the perceived path could move in the whole run."""
+    return int(perceived.bandwidth_bps * duration_s / 8 * 2) + (1 << 20)
+
+
+def _bulk_options(perceived: NetworkProfile, flavor: str = "newreno",
+                  mss: int = 1460) -> TcpOptions:
+    """TCP options for a bulk flow, SACK on. The receive window is sized
+    never to be the bottleneck (the paper's guests relied on window
+    scaling for the same reason)."""
+    receive_buffer = max(1 << 20, int(perceived.bandwidth_delay_product_bits / 2))
+    return TcpOptions(flavor=flavor, sack=True, mss=mss,
+                      receive_buffer=receive_buffer)
 
 
 # ===================================================================== bulk TCP
@@ -219,7 +193,6 @@ def run_bulk(
     queue_packets: Optional[int] = None,
     warmup_s: float = 0.0,
     collect_interarrivals: bool = False,
-    sack: bool = True,
     mss: int = 1460,
     impair: Optional[ImpairmentSpec] = None,
     schedule: Optional[ScheduleSpec] = None,
@@ -229,7 +202,13 @@ def run_bulk(
     realtime=False,
     _shard=None,
 ) -> BulkFlowResult:
-    """Bulk TCP over a dilated dumbbell; goodput in virtual bits/second.
+    """Bulk TCP (SACK on) over a dilated dumbbell; goodput in virtual
+    bits/second.
+
+    ``flows`` sender/receiver pairs share the bottleneck — with
+    ``flows=3`` this is also the paper's consolidation setup (ext2):
+    several dilated guests multiplexed on one machine, contending for its
+    shared uplink.
 
     ``realtime=True`` paces the run against the wall clock with a
     :class:`repro.realtime.driver.RealtimeDriver`: every event fires at
@@ -284,16 +263,10 @@ def run_bulk(
     identical to ``shards=1``. ``_shard`` is internal: the context a
     sharded worker executes under.
     """
-    _check_fidelity(fidelity)
-    _check_realtime(realtime, shards, _shard)
     if shards != 1 and _shard is None:
         return _run_sharded("run_bulk", locals(),
                             _bulk_assignment(flows, shards), _merge_bulk)
     factor = as_tdf(tdf)
-    physical = physical_for(perceived, factor)
-    access_physical = physical_for(
-        NetworkProfile(perceived.bandwidth_bps * 10, 1e-5), factor
-    )
     # Sized from the perceived profile: the BDP in packets is
     # dilation-invariant, and the perceived numbers are TDF-free so the
     # dilated run and its baseline can never round to different depths.
@@ -302,47 +275,20 @@ def run_bulk(
         if queue_packets is not None
         else default_queue_packets(perceived, frame_bytes=mss + 40)
     )
-    bell = build_dumbbell(
-        pairs=flows,
-        access_bandwidth_bps=access_physical.bandwidth_bps,
-        bottleneck_bandwidth_bps=physical.bandwidth_bps,
-        bottleneck_delay_s=physical.delay_s,
-        access_delay_s=access_physical.delay_s,
-        queue_factory=lambda: DropTailQueue(capacity_packets=queue),
-    )
-    net = bell.network
-    if schedule is not None:
-        # Attached before the partition below so the cut lookahead is
-        # derived from the schedule's minimum delay. Every worker arms the
-        # identical timers at the identical instants, so the per-shard
-        # link copies step in lockstep with the single-process run.
-        schedule.build(bell.bottleneck, tdf=factor)
-    ctx = _shard if _shard is not None else InProcessShard(net)
-    if _shard is not None:
-        ctx.localize(net, partition_network(net, ctx.shards, ctx.assignment))
-    if fidelity == "hybrid":
-        # Installed per engine, so a sharded hybrid run gets one manager
-        # per worker; flows crossing the shard cut stay packet-level (the
-        # steady-state predicate rejects egress-channel paths).
-        FluidManager(net.sim)
+    bell = _dumbbell(perceived, factor, flows, queue)
+    bed = Scenario(bell.network, factor, schedule=schedule,
+                   schedule_link=bell.bottleneck, shard=_shard,
+                   fidelity=fidelity, realtime=realtime, trace=trace)
     bottleneck_egress = bell.bottleneck.interface_from(bell.router_left)
-    if impair is not None and ctx.owns(bell.router_left):
-        bottleneck_egress.set_impairments(impair.build(net.sim, tdf=factor))
-    vmm = Hypervisor(net.sim)
+    bed.impair(impair, bottleneck_egress, bell.router_left)
     share = 1.0 / (2 * flows)
-    # Size the receive window to never be the bottleneck (the paper's
-    # guests relied on window scaling for the same reason).
-    receive_buffer = max(1 << 20, int(perceived.bandwidth_delay_product_bits / 2))
-    options = TcpOptions(flavor=flavor, sack=sack, mss=mss,
-                         receive_buffer=receive_buffer)
+    options = _bulk_options(perceived, flavor, mss)
     servers: List[IperfServer] = []
     clients: List[IperfClient] = []
     receiver_vm = None
     for index in range(flows):
-        vmm.create_vm(f"snd{index}", tdf=factor, cpu_share=share,
-                      node=bell.senders[index])
-        vm = vmm.create_vm(f"rcv{index}", tdf=factor, cpu_share=share,
-                           node=bell.receivers[index])
+        bed.boot(f"snd{index}", bell.senders[index], share)
+        vm = bed.boot(f"rcv{index}", bell.receivers[index], share)
         if index == 0:
             receiver_vm = vm
         # Stacks and applications only exist on the shard that owns the
@@ -350,32 +296,29 @@ def run_bulk(
         # every worker because their creation schedules nothing.
         servers.append(
             IperfServer(TcpStack(bell.receivers[index]), options=options)
-            if ctx.owns(bell.receivers[index])
+            if bed.owns(bell.receivers[index])
             else None
         )
-        # Never let the transfer finish inside the measurement window: queue
-        # twice what the perceived path could move in the whole run.
-        transfer_bytes = int(perceived.bandwidth_bps * duration_s / 8 * 2) + (1 << 20)
         clients.append(
             IperfClient(
                 TcpStack(bell.senders[index]),
                 bell.receivers[index].name,
-                total_bytes=transfer_bytes,
+                total_bytes=_transfer_bytes(perceived, duration_s),
                 options=options,
                 flow_id=f"flow{index}",
             )
-            if ctx.owns(bell.senders[index])
+            if bed.owns(bell.senders[index])
             else None
         )
     arrivals = None
-    if collect_interarrivals and ctx.owns(bell.receivers[0]):
+    if collect_interarrivals and bed.owns(bell.receivers[0]):
         # Unbounded, so no arrival of the measured window is evicted.
         arrivals = FlightRecorder(capacity=None, name="interarrivals",
                                   packet_kinds=("rx",), flow_id="flow0")
         arrivals.attach_interface(bell.receiver_links[0].b_to_a)
     assert receiver_vm is not None
-    recorder = None if trace is None else _build_recorder(
-        trace, ctx, net.sim, "bulk",
+    recorder = bed.record(
+        "bulk",
         {
             "bottleneck": (bottleneck_egress, bell.router_left),
             "reverse": (bell.bottleneck.interface_from(bell.router_right),
@@ -389,18 +332,16 @@ def run_bulk(
             client.start()
     if recorder is not None and trace.tcp and clients[0] is not None:
         recorder.attach_socket(clients[0].socket)
-    driver = _build_driver(realtime, net.sim, recorder)
-    advance = ctx.advance if driver is None else driver.run
     warmup_bytes = [0] * flows
     if warmup_s > 0:
-        advance(receiver_vm.clock.to_physical(warmup_s))
+        bed.run(receiver_vm.clock.to_physical(warmup_s))
         warmup_bytes = [
             server.total_bytes if server is not None else 0
             for server in servers
         ]
         if arrivals is not None:
             arrivals.clear()
-    advance(receiver_vm.clock.to_physical(duration_s))
+    bed.run(receiver_vm.clock.to_physical(duration_s))
     span = duration_s - warmup_s
     per_flow = [
         (server.total_bytes - start) * 8 / span if server is not None else 0.0
@@ -416,7 +357,7 @@ def run_bulk(
         interarrivals = [b - a for a, b in zip(stamps, stamps[1:])]
     live = [c for c in clients if c is not None]
     first = clients[0].socket if clients[0] is not None else None
-    return BulkFlowResult(
+    return bed.finish(BulkFlowResult(
         goodput_bps=sum(per_flow),
         per_flow_goodput_bps=per_flow,
         delivered_bytes=delivered,
@@ -425,7 +366,6 @@ def run_bulk(
         srtt=first.rtt.srtt if first is not None else None,
         segments_sent=sum(c.socket.segments_sent for c in live if c.socket),
         interarrivals=interarrivals,
-        events_processed=net.sim.events_processed,
         dupacks=sum(c.socket.dupacks_received for c in live if c.socket),
         fast_retransmits=sum(
             c.socket.fast_retransmits for c in live if c.socket
@@ -439,9 +379,7 @@ def run_bulk(
             for server in servers
             if server is not None
         ),
-        trace_events=recorder.snapshot() if recorder is not None else [],
-        realtime_stats=driver.stats.as_dict() if driver is not None else {},
-    )
+    ))
 
 
 # ========================================================================= web
@@ -468,33 +406,24 @@ def run_web(
     duration_s: float,
     seed: int,
     host_cycles_per_second: float = 1e9,
-    scale_cpu: bool = False,
-    drain_s: float = 2.0,
 ) -> WebResult:
     """SPECweb-like open-loop load against the dilated web server.
 
-    ``scale_cpu=False`` (default) compensates the server's CPU share so the
+    The server's CPU share is compensated (0.5/TDF, capped at 0.5) so the
     guest perceives a constant-speed CPU while the network dilates — the
-    paper's recipe for scaling resources independently. ``scale_cpu=True``
-    lets the CPU dilate along with everything else.
+    paper's recipe for scaling resources independently. Requests issued
+    in ``duration_s`` get 2 more virtual seconds to drain.
     """
     factor = as_tdf(tdf)
     physical = physical_for(perceived, factor)
-    net = Network()
-    server_node = net.add_node("www")
-    client_node = net.add_node("client")
-    net.add_link(
-        server_node, client_node, physical.bandwidth_bps, physical.delay_s,
-        queue_factory=lambda: DropTailQueue(
-            capacity_packets=default_queue_packets(perceived)
-        ),
+    net, server_node, client_node = _two_hosts(
+        "www", "client", physical.bandwidth_bps, physical.delay_s,
+        default_queue_packets(perceived),
     )
-    net.finalize()
-    vmm = Hypervisor(net.sim, host_cycles_per_second=host_cycles_per_second)
-    server_share = 0.5 if scale_cpu else min(0.5, 0.5 / float(factor.value))
-    server_vm = vmm.create_vm("www-vm", tdf=factor, cpu_share=server_share,
-                              node=server_node)
-    vmm.create_vm("client-vm", tdf=factor, cpu_share=0.25, node=client_node)
+    bed = Scenario(net, factor, host_cycles_per_second=host_cycles_per_second)
+    server_vm = bed.boot("www-vm", server_node,
+                         min(0.5, 0.5 / float(factor.value)))
+    bed.boot("client-vm", client_node, 0.25)
     mix = SpecWebMix(rng=random.Random(seed))
     WebServer(TcpStack(server_node), mix, cpu=server_vm.cpu)
     load = OpenLoopHttpLoad(
@@ -506,7 +435,7 @@ def run_web(
         duration_s=duration_s,
     )
     load.start()
-    net.run(until=server_vm.clock.to_physical(duration_s + drain_s))
+    bed.run(server_vm.clock.to_physical(duration_s + 2.0))
     samples = load.latency.samples
     p95 = 0.0
     if samples:
@@ -553,13 +482,6 @@ class BitTorrentResult:
     realtime_stats: Dict = field(default_factory=dict)
 
 
-#: Deterministic per-leaf fraction in [0, 1) for ``delay_salt`` — the
-#: same Knuth-hash spread the swarm uses for ``timer_salt``, so both
-#: symmetry breakers are one definition (see
-#: :func:`repro.apps.bittorrent.swarm.salt_fraction`).
-_salt_fraction = salt_fraction
-
-
 def run_bittorrent(
     perceived_leaf: NetworkProfile,
     tdf: TdfLike,
@@ -567,8 +489,6 @@ def run_bittorrent(
     file_bytes: int,
     seed: int,
     piece_bytes: int = 65536,
-    horizon_s: float = 600.0,
-    choke_interval_s: float = 5.0,
     impair: Optional[ImpairmentSpec] = None,
     impair_tracker: Optional[ImpairmentSpec] = None,
     schedule: Optional[ScheduleSpec] = None,
@@ -577,10 +497,13 @@ def run_bittorrent(
     timer_salt: float = 0.0,
     shards: int = 1,
     fidelity: str = "packet",
-    realtime=False,
     _shard=None,
 ) -> BitTorrentResult:
     """A one-seed swarm on a dilated star; download times in virtual seconds.
+
+    Peers choke every 5 virtual seconds (a stalled request times out after
+    20), and the run stops when every leecher completes or at the
+    600-virtual-second horizon, checked every 5 virtual seconds.
 
     ``impair`` attaches a seed-deterministic impairment chain to the seed's
     uplink egress (the link every original piece copy crosses), so losses
@@ -592,8 +515,8 @@ def run_bittorrent(
     piece copy crosses — as a piecewise function of virtual time
     (:class:`~repro.simnet.schedule.ScheduleSpec`): the Starlink-backhaul
     scenario, where the swarm's primary source sits behind a handover
-    path. Attached before any partition so a sharded run derives its cut
-    lookahead from the schedule's minimum delay.
+    path. A sharded run derives its cut lookahead from the schedule's
+    minimum delay.
 
     ``trace`` attaches a flight recorder: point ``bottleneck`` is the
     seed's uplink egress, ``reverse`` the hub-to-seed direction, and
@@ -626,13 +549,7 @@ def run_bittorrent(
     event-for-event identical to ``shards=1`` when the topology is free of
     cross-leaf timestamp ties, which ``delay_salt`` guarantees. ``_shard``
     is internal.
-
-    ``realtime=True`` (or a :class:`~repro.realtime.driver.RealtimeConfig`)
-    paces the run against the wall clock — see :func:`run_bulk`; requires
-    ``shards=1``.
     """
-    _check_fidelity(fidelity)
-    _check_realtime(realtime, shards, _shard)
     if shards != 1 and _shard is None:
         return _run_sharded("run_bittorrent", locals(),
                             _swarm_assignment(leechers, shards),
@@ -648,7 +565,7 @@ def run_bittorrent(
         leaf = net.add_node(f"h{index}")
         link = net.add_link(
             leaf, hub, physical.bandwidth_bps,
-            physical.delay_s * (1.0 + delay_salt * _salt_fraction(index)),
+            physical.delay_s * (1.0 + delay_salt * salt_fraction(index)),
             queue_factory=lambda: DropTailQueue(
                 capacity_packets=default_queue_packets(perceived_leaf)
             ),
@@ -656,44 +573,23 @@ def run_bittorrent(
         leaves.append(leaf)
         links.append(link)
     net.finalize()
-    if schedule is not None:
-        # The seed's access link (links[1], h1<->hub). Before the
-        # partition: the cut lookahead must see the schedule's min delay.
-        schedule.build(links[1], tdf=factor)
-    ctx = _shard if _shard is not None else InProcessShard(net)
-    if _shard is not None:
-        ctx.localize(net, partition_network(net, ctx.shards, ctx.assignment))
-    if fidelity == "hybrid":
-        # Swarm traffic is bursty and multiplexed, so most flows stay
-        # packet-level most of the time; long piece streams over quiet
-        # leaf links still promote (and demote on the first competing
-        # transmit). Honest win here is modest — fig3-style bulk flows
-        # are where the event reduction lands.
-        FluidManager(net.sim)
     tracker_link, seed_link, first_leecher_link = links[0], links[1], links[2]
-    # Impairment chains attach to an egress, so they belong to the shard
-    # that owns the transmitting node (under the standard assignment the
-    # seed's uplink sits in shard 1, the tracker link in shard 0; the
-    # ownership gates keep any split honest).
-    if impair is not None and ctx.owns(leaves[1]):
-        seed_link.interface_from(leaves[1]).set_impairments(
-            impair.build(net.sim, tdf=factor)
-        )
-    if impair_tracker is not None:
-        if ctx.owns(hub):
-            tracker_link.interface_from(hub).set_impairments(
-                impair_tracker.build(net.sim, tdf=factor)
-            )
-        if ctx.owns(leaves[0]):
-            tracker_link.interface_from(leaves[0]).set_impairments(
-                impair_tracker.build(net.sim, tdf=factor)
-            )
-    vmm = Hypervisor(net.sim)
+    # Swarm traffic is bursty and multiplexed, so under fidelity="hybrid"
+    # most flows stay packet-level most of the time; long piece streams
+    # over quiet leaf links still promote (and demote on the first
+    # competing transmit).
+    bed = Scenario(net, factor, schedule=schedule, schedule_link=seed_link,
+                   shard=_shard, fidelity=fidelity, trace=trace)
+    # Each chain belongs to the shard that owns the transmitting node
+    # (under the standard assignment the seed's uplink sits in shard 1,
+    # the tracker link in shard 0).
+    bed.impair(impair, seed_link.interface_from(leaves[1]), leaves[1])
+    bed.impair(impair_tracker, tracker_link.interface_from(hub), hub)
+    bed.impair(impair_tracker, tracker_link.interface_from(leaves[0]),
+               leaves[0])
     share = 1.0 / leaf_count
-    vms = [
-        vmm.create_vm(f"vm{index}", tdf=factor, cpu_share=share, node=leaf)
-        for index, leaf in enumerate(leaves)
-    ]
+    vms = [bed.boot(f"vm{index}", leaf, share)
+           for index, leaf in enumerate(leaves)]
     meta = TorrentMeta(name="bench.torrent", total_bytes=file_bytes,
                        piece_size=piece_bytes)
     swarm = build_swarm(
@@ -702,13 +598,12 @@ def run_bittorrent(
         leecher_nodes=leaves[2:],
         meta=meta,
         rng=random.Random(seed),
-        config=PeerConfig(choke_interval_s=choke_interval_s,
-                          stall_timeout_s=4 * choke_interval_s),
-        include=ctx.owns if _shard is not None else None,
+        config=PeerConfig(choke_interval_s=5.0, stall_timeout_s=20.0),
+        include=bed.owns if _shard is not None else None,
         timer_salt=timer_salt,
     )
-    recorder = None if trace is None else _build_recorder(
-        trace, ctx, net.sim, "swarm",
+    bed.record(
+        "swarm",
         {
             "bottleneck": (seed_link.interface_from(leaves[1]), leaves[1]),
             "reverse": (seed_link.interface_from(hub), hub),
@@ -718,18 +613,16 @@ def run_bittorrent(
     )
     swarm.start()
     clock = vms[0].clock
-    driver = _build_driver(realtime, net.sim, recorder)
-    advance = ctx.advance if driver is None else driver.run
-    step = 5.0
+    horizon_s = 600.0
     elapsed = 0.0
     # ``all_agree`` makes the completion predicate global, so every shard
     # takes the same number of 5-virtual-second strides (shards=1: the
     # in-process context reduces it to the local predicate unchanged).
-    while not ctx.all_agree(swarm.all_complete()) and elapsed < horizon_s:
-        elapsed = min(horizon_s, elapsed + step)
-        advance(clock.to_physical(elapsed))
+    while not bed.shard.all_agree(swarm.all_complete()) and elapsed < horizon_s:
+        elapsed = min(horizon_s, elapsed + 5.0)
+        bed.run(clock.to_physical(elapsed))
     seed_peer = swarm.seeds[0]
-    return BitTorrentResult(
+    return bed.finish(BitTorrentResult(
         download_times_s=sorted(swarm.download_times()),
         completed=sum(
             1 for p in swarm.leechers if p is not None and p.complete
@@ -741,14 +634,11 @@ def run_bittorrent(
         total_downloaded_bytes=sum(
             p.bytes_downloaded for p in swarm.leechers if p is not None
         ),
-        events_processed=net.sim.events_processed,
         tracker_announces=(
             swarm.tracker.announces if swarm.tracker is not None else 0
         ),
         connections_total=sum(p.connection_count for p in swarm.peers),
-        trace_events=recorder.snapshot() if recorder is not None else [],
-        realtime_stats=driver.stats.as_dict() if driver is not None else {},
-    )
+    ))
 
 
 # ============================================================== starlink/QoE
@@ -787,12 +677,7 @@ def run_starlink(
     duration_s: float,
     schedule: Optional[ScheduleSpec] = None,
     frame_interval_s: float = 0.020,
-    frame_bytes: int = 480,
-    playout_delay_s: float = 0.080,
     bulk: bool = True,
-    flavor: str = "newreno",
-    queue_packets: Optional[int] = None,
-    mss: int = 1460,
 ) -> StreamingResult:
     """Media streaming (plus a competing bulk flow) over a scheduled path.
 
@@ -800,9 +685,11 @@ def run_starlink(
     space segment whose delay/bandwidth/liveness follow ``schedule``
     (virtual-time indexed — see :class:`~repro.simnet.schedule.ScheduleSpec`),
     a gateway (``gw``), and a server (``srv``) on a fast terrestrial
-    link. ``srv`` streams fixed-cadence media frames downlink to a jitter
-    buffer on ``ut``; with ``bulk=True`` a TCP download shares the path,
-    so handovers are felt through the queue as well as the wire.
+    link. ``srv`` streams 480-byte media frames every ``frame_interval_s``
+    downlink to a jitter buffer (80 ms playout delay) on ``ut``; with
+    ``bulk=True`` a NewReno TCP download shares the path, so handovers are
+    felt through the queue as well as the wire. Both links queue one
+    perceived BDP of 1500-byte frames.
 
     All metrics are virtual-axis: frame delays come from the dilated
     guest clocks, so a TDF-10 run and its baseline are compared on the
@@ -814,11 +701,7 @@ def run_starlink(
     terrestrial = physical_for(
         NetworkProfile(perceived.bandwidth_bps * 10, 2e-3), factor
     )
-    queue = (
-        queue_packets
-        if queue_packets is not None
-        else default_queue_packets(perceived, frame_bytes=mss + 40)
-    )
+    queue = default_queue_packets(perceived)
     net = Network()
     ut = net.add_node("ut")
     gw = net.add_node("gw")
@@ -832,16 +715,12 @@ def run_starlink(
         queue_factory=lambda: DropTailQueue(capacity_packets=queue),
     )
     net.finalize()
-    link_schedule = (
-        schedule.build(space, tdf=factor) if schedule is not None else None
-    )
-    vmm = Hypervisor(net.sim)
-    vm_ut = vmm.create_vm("ut", tdf=factor, cpu_share=1 / 3, node=ut)
-    vmm.create_vm("gw", tdf=factor, cpu_share=1 / 3, node=gw)
-    vmm.create_vm("srv", tdf=factor, cpu_share=1 / 3, node=srv)
+    bed = Scenario(net, factor, schedule=schedule, schedule_link=space)
+    vm_ut = bed.boot("ut", ut, 1 / 3)
+    bed.boot("gw", gw, 1 / 3)
+    bed.boot("srv", srv, 1 / 3)
     sink = JitterBufferSink(
-        UdpStack(ut), port=5004, playout_delay_s=playout_delay_s,
-        keep_samples=True,
+        UdpStack(ut), port=5004, playout_delay_s=0.080, keep_samples=True,
     )
     # Stop the frame train half a virtual second before the end of the
     # run so tail frames still in flight are not miscounted as QoE loss.
@@ -849,33 +728,27 @@ def run_starlink(
     source = MediaSource(
         UdpStack(srv), "ut", 5004,
         frame_interval_s=frame_interval_s,
-        frame_bytes=frame_bytes,
+        frame_bytes=480,
         total_frames=total_frames,
         flow_id="media",
     )
     server = None
     if bulk:
-        receive_buffer = max(
-            1 << 20, int(perceived.bandwidth_delay_product_bits / 2)
-        )
-        options = TcpOptions(flavor=flavor, mss=mss,
-                             receive_buffer=receive_buffer)
+        options = _bulk_options(perceived)
         server = IperfServer(TcpStack(ut), options=options)
-        transfer_bytes = (
-            int(perceived.bandwidth_bps * duration_s / 8 * 2) + (1 << 20)
-        )
         client = IperfClient(
-            TcpStack(srv), "ut", total_bytes=transfer_bytes,
+            TcpStack(srv), "ut",
+            total_bytes=_transfer_bytes(perceived, duration_s),
             options=options, flow_id="bulk",
         )
         client.start()
     source.start()
-    net.run(until=vm_ut.clock.to_physical(duration_s))
+    bed.run(vm_ut.clock.to_physical(duration_s))
     sink.finalize(source.frames_sent)
     outage_drops = (
         space.a_to_b.drops.get("down", 0) + space.b_to_a.drops.get("down", 0)
     )
-    return StreamingResult(
+    return bed.finish(StreamingResult(
         frames_sent=source.frames_sent,
         frames_on_time=sink.on_time,
         frames_late=sink.late,
@@ -888,11 +761,10 @@ def run_starlink(
             server.total_bytes * 8 / duration_s if server is not None else 0.0
         ),
         schedule_changes=(
-            link_schedule.applied if link_schedule is not None else 0
+            bed.link_schedule.applied if bed.link_schedule is not None else 0
         ),
         outage_drops=outage_drops,
-        events_processed=net.sim.events_processed,
-    )
+    ))
 
 
 # ========================================================== cross traffic
@@ -911,151 +783,47 @@ def run_bulk_with_cross_traffic(
     perceived: NetworkProfile,
     tdf: TdfLike,
     duration_s: float,
-    cross_fraction: float = 0.3,
-    warmup_s: float = 1.0,
 ) -> CrossTrafficResult:
     """One TCP flow sharing the bottleneck with a CBR stream.
 
-    ``cross_fraction`` is the CBR source's share of the perceived
-    bottleneck; TCP should settle near the remainder. The generator runs
-    inside a dilated guest like everything else, so the dilated and
-    baseline runs offer identical (virtual-time) background load.
+    The CBR source takes 30% of the perceived bottleneck; TCP should
+    settle near the remainder. The generator runs inside a dilated guest
+    like everything else, so the dilated and baseline runs offer
+    identical (virtual-time) background load. Rates are measured after a
+    1-virtual-second warmup.
     """
     factor = as_tdf(tdf)
-    physical = physical_for(perceived, factor)
-    access_physical = physical_for(
-        NetworkProfile(perceived.bandwidth_bps * 10, 1e-5), factor
-    )
-    bell = build_dumbbell(
-        pairs=2,
-        access_bandwidth_bps=access_physical.bandwidth_bps,
-        bottleneck_bandwidth_bps=physical.bandwidth_bps,
-        bottleneck_delay_s=physical.delay_s,
-        access_delay_s=access_physical.delay_s,
-        queue_factory=lambda: DropTailQueue(
-            capacity_packets=default_queue_packets(perceived)
-        ),
-    )
-    net = bell.network
-    vmm = Hypervisor(net.sim)
+    bell = _dumbbell(perceived, factor, 2, default_queue_packets(perceived))
+    bed = Scenario(bell.network, factor)
     vms = []
     for index in range(2):
-        vms.append(vmm.create_vm(f"snd{index}", tdf=factor, cpu_share=0.2,
-                                 node=bell.senders[index]))
-        vms.append(vmm.create_vm(f"rcv{index}", tdf=factor, cpu_share=0.2,
-                                 node=bell.receivers[index]))
+        vms.append(bed.boot(f"snd{index}", bell.senders[index], 0.2))
+        vms.append(bed.boot(f"rcv{index}", bell.receivers[index], 0.2))
     options = TcpOptions()
     server = IperfServer(TcpStack(bell.receivers[0]), options=options)
-    transfer = int(perceived.bandwidth_bps * duration_s / 8 * 2) + (1 << 20)
     client = IperfClient(
         TcpStack(bell.senders[0]), bell.receivers[0].name,
-        total_bytes=transfer, options=options,
+        total_bytes=_transfer_bytes(perceived, duration_s), options=options,
     )
     sink = UdpSink(UdpStack(bell.receivers[1]), 9000)
     cross = CbrSource(
         UdpStack(bell.senders[1]), bell.receivers[1].name, 9000,
-        rate_bps=perceived.bandwidth_bps * cross_fraction,  # virtual rate
+        rate_bps=perceived.bandwidth_bps * 0.3,  # virtual rate
         packet_bytes=1000,
     )
     client.start()
     cross.start()
     receiver_vm = vms[1]
-    net.run(until=receiver_vm.clock.to_physical(warmup_s))
+    warmup_s = 1.0
+    bed.run(receiver_vm.clock.to_physical(warmup_s))
     tcp_at_warmup = server.total_bytes
     cross_at_warmup = sink.bytes_received
-    net.run(until=receiver_vm.clock.to_physical(duration_s))
+    bed.run(receiver_vm.clock.to_physical(duration_s))
     span = duration_s - warmup_s
     return CrossTrafficResult(
         tcp_goodput_bps=(server.total_bytes - tcp_at_warmup) * 8 / span,
         cross_rate_bps=(sink.bytes_received - cross_at_warmup) * 8 / span,
         tcp_retransmits=client.socket.retransmits if client.socket else 0,
-    )
-
-
-# ========================================================== VM consolidation
-
-
-@dataclass
-class ConsolidationResult:
-    """Metrics from several dilated guests multiplexed on one machine."""
-
-    per_guest_goodput_bps: List[float]
-    aggregate_goodput_bps: float
-
-
-def run_consolidated(
-    perceived_uplink: NetworkProfile,
-    tdf: TdfLike,
-    guests: int,
-    duration_s: float,
-    warmup_s: float = 1.0,
-) -> ConsolidationResult:
-    """Several dilated guests on one physical machine, sharing its uplink.
-
-    The paper multiplexed multiple dilated VMs per physical host; the key
-    property is that contention for the machine's shared NIC is perceived
-    consistently. Topology: ``guests`` sender VMs bridge through a machine
-    node whose single uplink (the perceived profile, rescaled) carries all
-    their traffic to distinct receivers.
-    """
-    factor = as_tdf(tdf)
-    physical = physical_for(perceived_uplink, factor)
-    fast = physical_for(
-        NetworkProfile(perceived_uplink.bandwidth_bps * 10, 1e-5), factor
-    )
-    net = Network()
-    machine = net.add_node("machine")
-    switch = net.add_node("switch")
-    net.add_link(
-        machine, switch, physical.bandwidth_bps, physical.delay_s,
-        queue_factory=lambda: DropTailQueue(
-            capacity_packets=default_queue_packets(perceived_uplink)
-        ),
-    )
-    vmm = Hypervisor(net.sim)
-    share = 1.0 / (guests + 1)
-    servers: List[IperfServer] = []
-    transfer = int(perceived_uplink.bandwidth_bps * duration_s / 8 * 2) + (1 << 20)
-    guest_nodes = []
-    receiver_nodes = []
-    for index in range(guests):
-        guest = net.add_node(f"guest{index}")
-        receiver = net.add_node(f"sink{index}")
-        # Virtual NIC to the machine's bridge: fast, negligible delay.
-        net.add_link(guest, machine, fast.bandwidth_bps, fast.delay_s)
-        net.add_link(switch, receiver, fast.bandwidth_bps, fast.delay_s)
-        guest_nodes.append(guest)
-        receiver_nodes.append(receiver)
-    net.finalize()
-    reference_vm = None
-    clients = []
-    for index in range(guests):
-        vmm.create_vm(f"vm{index}", tdf=factor, cpu_share=share,
-                      node=guest_nodes[index])
-        vm = vmm.create_vm(f"vm-sink{index}", tdf=factor,
-                           cpu_share=share / max(1, guests),
-                           node=receiver_nodes[index])
-        if index == 0:
-            reference_vm = vm
-        servers.append(IperfServer(TcpStack(receiver_nodes[index])))
-        clients.append(IperfClient(
-            TcpStack(guest_nodes[index]), receiver_nodes[index].name,
-            total_bytes=transfer,
-        ))
-    for client in clients:
-        client.start()
-    assert reference_vm is not None
-    net.run(until=reference_vm.clock.to_physical(warmup_s))
-    at_warmup = [server.total_bytes for server in servers]
-    net.run(until=reference_vm.clock.to_physical(duration_s))
-    span = duration_s - warmup_s
-    per_guest = [
-        (server.total_bytes - start) * 8 / span
-        for server, start in zip(servers, at_warmup)
-    ]
-    return ConsolidationResult(
-        per_guest_goodput_bps=per_guest,
-        aggregate_goodput_bps=sum(per_guest),
     )
 
 
@@ -1077,16 +845,11 @@ def run_guest_build_job(
     perceived_net: NetworkProfile,
     tdf: TdfLike,
     compensate: bool = True,
-    host_cycles_per_second: float = 1e9,
-    disk_bandwidth: float = 100e6,
-    read_bytes: int = 20 << 20,
-    compute_cycles: float = 2e9,
-    write_bytes: int = 5 << 20,
-    upload_bytes: int = 10 << 20,
 ) -> BuildJobResult:
     """A "build server" job touching every dilated resource in sequence:
-    read sources from disk → compile (CPU) → write the artifact → upload
-    it over TCP. Timed phase by phase with the guest's own clock.
+    read 20 MiB of sources from disk → compile (2e9 cycles) → write a
+    5 MiB artifact → upload 10 MiB over TCP. Timed phase by phase with
+    the guest's own clock, on a 1 GHz host with a 100 MB/s disk.
 
     ``compensate=True`` throttles CPU and disk by 1/TDF so only the
     network dilates (the paper's independent-scaling recipe); with
@@ -1107,28 +870,21 @@ def run_guest_build_job(
 
     factor = as_tdf(tdf)
     physical = physical_for(perceived_net, factor)
-    net = Network()
-    builder = net.add_node("builder")
-    server = net.add_node("artifacts")
-    net.add_link(
-        builder, server, physical.bandwidth_bps, physical.delay_s,
-        queue_factory=lambda: DropTailQueue(
-            capacity_packets=default_queue_packets(perceived_net)
-        ),
+    net, builder, server = _two_hosts(
+        "builder", "artifacts", physical.bandwidth_bps, physical.delay_s,
+        default_queue_packets(perceived_net),
     )
-    net.finalize()
-    vmm = Hypervisor(net.sim, host_cycles_per_second=host_cycles_per_second)
+    bed = Scenario(net, factor)
     scale = 1.0 / float(factor.value) if compensate else 1.0
-    vm = vmm.create_vm("builder-vm", tdf=factor,
-                       cpu_share=min(0.5, 0.5 * scale), node=builder)
+    vm = bed.boot("builder-vm", builder, min(0.5, 0.5 * scale))
     # The throttle alone compensates: it stretches both positioning and
     # transfer by TDF physically, so the guest perceives them unchanged.
     vm.attach_disk(VirtualDisk(
-        net.sim, bandwidth_bytes_per_s=disk_bandwidth,
+        net.sim, bandwidth_bytes_per_s=100e6,
         positioning_delay_s=0.004,
         throttle=min(1.0, scale),
     ))
-    vmm.create_vm("server-vm", tdf=factor, cpu_share=0.25, node=server)
+    bed.boot("server-vm", server, 0.25)
     kernel = GuestKernel(vm)
     kernel.use_tcp(TcpStack(builder))
     server_stack = TcpStack(server)
@@ -1139,25 +895,25 @@ def run_guest_build_job(
         # The whole pipeline is one guest program: disk, CPU and network
         # syscalls all resolve against the VM's dilated resources.
         marks["start"] = yield Now()
-        yield DiskRead(read_bytes)
+        yield DiskRead(20 << 20)
         marks["read_done"] = yield Now()
-        yield Compute(compute_cycles)
+        yield Compute(2e9)
         marks["compute_done"] = yield Now()
-        yield DiskWrite(write_bytes)
+        yield DiskWrite(5 << 20)
         marks["write_done"] = yield Now()
         sock = yield Connect("artifacts", 80)
-        yield SendOn(sock, upload_bytes)
+        yield SendOn(sock, 10 << 20)
         yield Flush(sock)
         yield CloseSock(sock)
         marks["upload_done"] = yield Now()
 
     process = kernel.spawn(job())
     horizon_virtual = 600.0
-    net.run(until=vm.clock.to_physical(horizon_virtual))
+    bed.run(vm.clock.to_physical(horizon_virtual))
     if process.error is not None:
         raise process.error
     if "upload_done" not in marks:
-        raise SimulationErrorForBuildJob(marks, {})
+        raise RuntimeError(f"build job incomplete: marks={marks}")
     return BuildJobResult(
         disk_read_s=marks["read_done"] - marks["start"],
         compute_s=marks["compute_done"] - marks["read_done"],
@@ -1165,15 +921,6 @@ def run_guest_build_job(
         network_s=marks["upload_done"] - marks["write_done"],
         total_s=marks["upload_done"] - marks["start"],
     )
-
-
-class SimulationErrorForBuildJob(RuntimeError):
-    """The build job did not finish within the experiment horizon."""
-
-    def __init__(self, marks, received):
-        super().__init__(
-            f"build job incomplete: marks={marks}, received={received}"
-        )
 
 
 # ================================================================= dynamic TDF
@@ -1204,18 +951,11 @@ def run_dynamic_tdf(
     between phases the hypervisor re-dilates both guests live. The
     physical wire never changes — only the guests' perception of it does.
     """
-    from ..core.vmm import Hypervisor
-
-    net = Network()
-    a = net.add_node("a")
-    b = net.add_node("b")
-    net.add_link(a, b, physical_bandwidth_bps, physical_delay_s,
-                 queue_factory=lambda: DropTailQueue(
-                     capacity_packets=queue_packets))
-    net.finalize()
-    vmm = Hypervisor(net.sim)
-    vmm.create_vm("vma", tdf=tdf_schedule[0], cpu_share=0.5, node=a)
-    vm_b = vmm.create_vm("vmb", tdf=tdf_schedule[0], cpu_share=0.5, node=b)
+    net, a, b = _two_hosts("a", "b", physical_bandwidth_bps,
+                           physical_delay_s, queue_packets)
+    bed = Scenario(net, tdf_schedule[0])
+    bed.boot("vma", a, 0.5)
+    vm_b = bed.boot("vmb", b, 0.5)
     server = IperfServer(TcpStack(b))
     IperfClient(TcpStack(a), "b").start()
     rates: List[float] = []
@@ -1223,10 +963,10 @@ def run_dynamic_tdf(
     elapsed = 0.0
     for index, tdf in enumerate(tdf_schedule):
         if index > 0:
-            vmm.set_tdf("vma", tdf)
-            vmm.set_tdf("vmb", tdf)
+            bed.vmm.set_tdf("vma", tdf)
+            bed.vmm.set_tdf("vmb", tdf)
         elapsed += phase_s
-        net.run(until=vm_b.clock.to_physical(elapsed))
+        bed.run(vm_b.clock.to_physical(elapsed))
         phase_bytes = server.total_bytes - delivered
         delivered = server.total_bytes
         rates.append(phase_bytes * 8 / phase_s)
@@ -1249,54 +989,40 @@ class CpuResult:
     perceived_speedup: float
 
 
-def run_cpu_task(
-    tdf: TdfLike,
-    cpu_share: float,
-    cycles: float = 2e9,
-    host_cycles_per_second: float = 1e9,
-) -> CpuResult:
-    """Time one CPU-bound task as the guest sees it (Table 2)."""
-    net = Network()
-    vmm = Hypervisor(net.sim, host_cycles_per_second=host_cycles_per_second)
-    vm = vmm.create_vm("cpu-vm", tdf=tdf, cpu_share=cpu_share)
+def run_cpu_task(tdf: TdfLike, cpu_share: float) -> CpuResult:
+    """Time one CPU-bound task as the guest sees it (Table 2): 2e9 cycles
+    on a 1 GHz host, so 2 seconds at full share and TDF 1."""
+    bed = Scenario(Network(), tdf)
+    vm = bed.boot("cpu-vm", share=cpu_share)
     done = {}
 
     def on_complete():
         done["virtual"] = vm.clock.now()
-        done["physical"] = net.sim.now
+        done["physical"] = bed.sim.now
 
-    vm.cpu.run(cycles, on_complete=on_complete)
-    net.run()
-    nominal = cycles / host_cycles_per_second
+    vm.cpu.run(2e9, on_complete=on_complete)
+    bed.run()
     return CpuResult(
         virtual_duration_s=done["virtual"],
         physical_duration_s=done["physical"],
-        perceived_speedup=nominal / done["virtual"],
+        perceived_speedup=2.0 / done["virtual"],
     )
 
 
 # ================================================================== sharding
 
 
-def _check_sharded_trace(trace: Optional[TraceSpec]) -> None:
-    """Reject trace options that cannot survive a multi-engine run."""
-    if trace is not None and trace.timers:
-        raise ConfigurationError(
-            "trace timers=1 records engine-internal timer events and "
-            "cannot be combined with shards > 1: each worker has its own "
-            "engine, so the merged timer stream would be meaningless"
-        )
-
-
 def _run_sharded(runner: str, params: Dict[str, Any],
                  assignment: Dict[str, int], merge: Callable) -> Any:
-    """A runner's parent-side sharded path: guard, fan out, merge.
+    """A runner's parent-side sharded path: refuse, fan out, merge.
 
-    ``params`` are the runner's own arguments (its ``locals()`` on
+    The run's axes are refused here, in the parent, before any worker
+    spawns. ``params`` are the runner's own arguments (its ``locals()`` on
     entry); every one except the execution knobs is forwarded to each
     worker, which re-enters the runner under its shard context.
     """
-    _check_sharded_trace(params["trace"])
+    check_axes(params["fidelity"], params.get("realtime", False),
+               params["trace"], params["shards"])
     kwargs = {key: value for key, value in params.items()
               if key not in ("shards", "realtime", "_shard")}
     results, stats = run_sharded(runner, kwargs, params["shards"], assignment)
@@ -1446,7 +1172,6 @@ RUNNERS = {
     "run_starlink": run_starlink,
     "run_cpu_task": run_cpu_task,
     "run_bulk_with_cross_traffic": run_bulk_with_cross_traffic,
-    "run_consolidated": run_consolidated,
     "run_guest_build_job": run_guest_build_job,
     "run_dynamic_tdf": run_dynamic_tdf,
 }

@@ -34,6 +34,7 @@ from .ascii_chart import line_chart
 from .experiments import relative_error
 from .report import FigureResult, Table
 from .runner import CellSpec, FigureCells, run_sweep
+from .validate import EquivalenceReport, compare_metrics
 
 __all__ = ["CELL_MODEL", "figure_ids", "run_figure"]
 
@@ -72,6 +73,49 @@ def _figure(figure_id: str, cells: Callable[..., List[CellSpec]],
 
 def _cell(figure_id: str, key: str, runner: str, **kwargs: Any) -> CellSpec:
     return CellSpec(figure_id=figure_id, key=key, runner=runner, kwargs=kwargs)
+
+
+#: The CDF quantiles a distribution's equivalence gate compares.
+_QUANTILES = (10, 50, 90)
+
+
+def _quantiles(samples: List[float]) -> List[float]:
+    """``samples``' p10/p50/p90 (NaN for an empty sample), for table rows."""
+    return [percentile(samples, q) if samples else float("nan")
+            for q in _QUANTILES]
+
+
+def _quantile_gate(figure: FigureResult, label: str, what: str, cdf: str,
+                   base: List[float], dilated: List[float],
+                   tdf: int) -> EquivalenceReport:
+    """Gate a dilated run's distribution against its baseline's on the
+    virtual axis, via the machinery user workloads certify themselves
+    with: p10/p50/p90 each within :data:`LOSSY_TOLERANCE`, then the CDFs
+    within KS 0.25. Returns the quantile report for the table rows."""
+    report = compare_metrics(
+        baseline={f"p{q}": percentile(base, q) for q in _QUANTILES},
+        dilated={f"p{q}": percentile(dilated, q) for q in _QUANTILES},
+        tdf=tdf,
+        tolerance=LOSSY_TOLERANCE,
+    )
+    for comparison in report.comparisons:
+        figure.check(
+            f"{label}: {comparison.name} {what} within "
+            f"{LOSSY_TOLERANCE:.0%} of baseline on the virtual axis "
+            f"(err {comparison.error:.4f})",
+            comparison.within(LOSSY_TOLERANCE),
+        )
+    distance = ks_distance(base, dilated)
+    figure.check(
+        f"{label}: {cdf} CDFs agree (KS {distance:.3f} <= 0.25)",
+        distance <= 0.25,
+    )
+    return report
+
+
+def _worst(report: EquivalenceReport) -> str:
+    """The report's largest relative error, as a table cell."""
+    return f"{max(c.error for c in report.comparisons) * 100:.2f}%"
 
 
 # =============================================================== table1
@@ -833,8 +877,8 @@ def _ext1_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
 def _ext2_cells() -> List[CellSpec]:
     perceived = NetworkProfile.from_rtt(mbps(30), ms(20))
     return [
-        _cell("ext2", f"tdf{tdf}", "run_consolidated",
-              perceived_uplink=perceived, tdf=tdf, guests=3, duration_s=6.0)
+        _cell("ext2", f"tdf{tdf}", "run_bulk", perceived=perceived, tdf=tdf,
+              duration_s=6.0, warmup_s=1.0, flows=3)
         for tdf in (1, 10)
     ]
 
@@ -844,8 +888,9 @@ def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     """Extension E2: multiple dilated guests multiplexed on one machine.
 
     The paper ran several dilated VMs per physical host. Three guest
-    senders share one machine uplink; contention for the shared NIC must
-    be perceived identically under dilation.
+    senders share one machine uplink — ``run_bulk(flows=3)``, whose
+    bottleneck is the machine's shared NIC; contention for it must be
+    perceived identically under dilation.
     """
     base = cell_results["tdf1"]
     dilated = cell_results["tdf10"]
@@ -857,18 +902,18 @@ def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     for index in range(3):
         table.add_row(
             index,
-            f"{base.per_guest_goodput_bps[index] / 1e6:.3f}",
-            f"{dilated.per_guest_goodput_bps[index] / 1e6:.3f}",
+            f"{base.per_flow_goodput_bps[index] / 1e6:.3f}",
+            f"{dilated.per_flow_goodput_bps[index] / 1e6:.3f}",
         )
     table.add_row(
         "sum",
-        f"{base.aggregate_goodput_bps / 1e6:.3f}",
-        f"{dilated.aggregate_goodput_bps / 1e6:.3f}",
+        f"{base.goodput_bps / 1e6:.3f}",
+        f"{dilated.goodput_bps / 1e6:.3f}",
     )
     worst = max(
         relative_error(d, b)
-        for d, b in zip(dilated.per_guest_goodput_bps,
-                        base.per_guest_goodput_bps)
+        for d, b in zip(dilated.per_flow_goodput_bps,
+                        base.per_flow_goodput_bps)
     )
     figure.check(
         f"every guest's share matches baseline (max err {worst:.4f})",
@@ -876,11 +921,11 @@ def _ext2_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     )
     figure.check(
         "the shared uplink is saturated",
-        base.aggregate_goodput_bps > 0.7 * mbps(30),
+        base.goodput_bps > 0.7 * mbps(30),
     )
     figure.check(
         "sharing among co-located guests is fair",
-        _jain(base.per_guest_goodput_bps) > 0.8,
+        _jain(base.per_flow_goodput_bps) > 0.8,
     )
     return figure
 
@@ -1068,7 +1113,6 @@ _EXT5_ROWS = [
     (100, 1 << 20, 65536, 2026),
     (250, 512 * 1024, 32768, 4242),
 ]
-_EXT5_QUANTILES = (10, 50, 90)
 
 
 def _ext5_cells(impair: Optional[str] = None) -> List[CellSpec]:
@@ -1106,8 +1150,6 @@ def _ext5_assemble(cell_results: Mapping[str, Any],
     Gilbert–Elliott spec) to run the same sweep with the seed's uplink
     impaired.
     """
-    from .validate import compare_metrics
-
     table = Table(
         ["leechers", "file", "TDF", "p10 (s)", "p50 (s)", "p90 (s)",
          "done", "max err"],
@@ -1124,47 +1166,19 @@ def _ext5_assemble(cell_results: Mapping[str, Any],
                 f"({result.completed}/{leechers})",
                 result.completed == leechers,
             )
-        # Dilation equivalence on the virtual-time axis, via the same
-        # machinery user workloads certify themselves with.
-        report = compare_metrics(
-            baseline={
-                f"p{q}": percentile(base.download_times_s, q)
-                for q in _EXT5_QUANTILES
-            },
-            dilated={
-                f"p{q}": percentile(dilated.download_times_s, q)
-                for q in _EXT5_QUANTILES
-            },
-            tdf=_EXT5_TDF,
-            tolerance=LOSSY_TOLERANCE,
-        )
-        for row, comparison in ((base, None), (dilated, report.comparisons)):
-            quantiles = [
-                percentile(row.download_times_s, q) if row.download_times_s
-                else float("nan")
-                for q in _EXT5_QUANTILES
-            ]
+        report = _quantile_gate(figure, f"n={leechers}", "completion time",
+                                "completion", base.download_times_s,
+                                dilated.download_times_s, _EXT5_TDF)
+        for row, tdf, err in ((base, 1, "-"),
+                              (dilated, _EXT5_TDF, _worst(report))):
             table.add_row(
                 leechers,
                 f"{file_bytes >> 10} KiB",
-                1 if row is base else _EXT5_TDF,
-                *(f"{value:.2f}" for value in quantiles),
+                tdf,
+                *(f"{value:.2f}" for value in _quantiles(row.download_times_s)),
                 f"{row.completed}/{leechers}",
-                "-" if comparison is None else
-                f"{max(c.error for c in comparison) * 100:.2f}%",
+                err,
             )
-        for comparison in report.comparisons:
-            figure.check(
-                f"n={leechers}: {comparison.name} completion time within "
-                f"{LOSSY_TOLERANCE:.0%} of baseline on the virtual axis "
-                f"(err {comparison.error:.4f})",
-                comparison.within(LOSSY_TOLERANCE),
-            )
-        distance = ks_distance(base.download_times_s, dilated.download_times_s)
-        figure.check(
-            f"n={leechers}: completion CDFs agree (KS {distance:.3f} <= 0.25)",
-            distance <= 0.25,
-        )
     largest = cell_results[f"n{_EXT5_ROWS[-1][0]}-tdf1"]
     figure.notes.append(
         f"largest cell: {largest.leechers} leechers, "
@@ -1183,7 +1197,6 @@ def _ext5_assemble(cell_results: Mapping[str, Any],
 # ================================================================= ext6
 
 _EXT6_TDF = 10
-_EXT6_QUANTILES = (10, 50, 90)
 
 #: The trace axis of the TDF x trace sweep: two synthesized LEO handover
 #: patterns with different cadence and outage depth. "dense" exercises
@@ -1241,8 +1254,6 @@ def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
     gates frame-delay / completion-time CDF quantiles and KS distance
     on the virtual axis.
     """
-    from .validate import compare_metrics
-
     table = Table(
         ["workload", "trace", "TDF", "p10 (ms)", "p50 (ms)", "p90 (ms)",
          "playable", "stall", "changes", "outage drops", "max err"],
@@ -1271,51 +1282,23 @@ def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
                 f"({result.outage_drops} drops)",
                 result.outage_drops > 0,
             )
-        # The headline gate: frame-delay CDF quantiles on the virtual
-        # axis, via the same machinery user workloads certify with.
-        report = compare_metrics(
-            baseline={
-                f"p{q}": percentile(base.frame_delays_s, q)
-                for q in _EXT6_QUANTILES
-            },
-            dilated={
-                f"p{q}": percentile(dilated.frame_delays_s, q)
-                for q in _EXT6_QUANTILES
-            },
-            tdf=_EXT6_TDF,
-            tolerance=LOSSY_TOLERANCE,
-        )
-        for row, comparison in ((base, None), (dilated, report.comparisons)):
-            quantiles = [
-                percentile(row.frame_delays_s, q) if row.frame_delays_s
-                else float("nan")
-                for q in _EXT6_QUANTILES
-            ]
+        # The headline gate: frame-delay CDF quantiles on the virtual axis.
+        report = _quantile_gate(figure, f"stream/{name}", "frame delay",
+                                "frame-delay", base.frame_delays_s,
+                                dilated.frame_delays_s, _EXT6_TDF)
+        for row, tdf, err in ((base, 1, "-"),
+                              (dilated, _EXT6_TDF, _worst(report))):
             table.add_row(
                 "stream",
                 name,
-                1 if row is base else _EXT6_TDF,
-                *(f"{value * 1e3:.2f}" for value in quantiles),
+                tdf,
+                *(f"{value * 1e3:.2f}" for value in _quantiles(row.frame_delays_s)),
                 f"{row.playable_fraction:.3f}",
                 f"{row.stall_fraction:.3f}",
                 row.schedule_changes,
                 row.outage_drops,
-                "-" if comparison is None else
-                f"{max(c.error for c in comparison) * 100:.2f}%",
+                err,
             )
-        for comparison in report.comparisons:
-            figure.check(
-                f"stream/{name}: {comparison.name} frame delay within "
-                f"{LOSSY_TOLERANCE:.0%} of baseline on the virtual axis "
-                f"(err {comparison.error:.4f})",
-                comparison.within(LOSSY_TOLERANCE),
-            )
-        distance = ks_distance(base.frame_delays_s, dilated.frame_delays_s)
-        figure.check(
-            f"stream/{name}: frame-delay CDFs agree "
-            f"(KS {distance:.3f} <= 0.25)",
-            distance <= 0.25,
-        )
         qoe = compare_metrics(
             baseline={"jitter_s": base.jitter_s,
                       "stall": base.stall_fraction},
@@ -1338,48 +1321,21 @@ def _ext6_assemble(cell_results: Mapping[str, Any]) -> FigureResult:
             f"({result.completed}/{result.leechers})",
             result.completed == result.leechers,
         )
-    report = compare_metrics(
-        baseline={
-            f"p{q}": percentile(base.download_times_s, q)
-            for q in _EXT6_QUANTILES
-        },
-        dilated={
-            f"p{q}": percentile(dilated.download_times_s, q)
-            for q in _EXT6_QUANTILES
-        },
-        tdf=_EXT6_TDF,
-        tolerance=LOSSY_TOLERANCE,
-    )
-    for row, comparison in ((base, None), (dilated, report.comparisons)):
-        quantiles = [
-            percentile(row.download_times_s, q) if row.download_times_s
-            else float("nan")
-            for q in _EXT6_QUANTILES
-        ]
+    report = _quantile_gate(figure, "swarm", "completion time", "completion",
+                            base.download_times_s, dilated.download_times_s,
+                            _EXT6_TDF)
+    for row, tdf, err in ((base, 1, "-"), (dilated, _EXT6_TDF, _worst(report))):
         table.add_row(
             "swarm",
             _EXT6_TRACES[0][0],
-            1 if row is base else _EXT6_TDF,
-            *(f"{value * 1e3:.0f}" for value in quantiles),
+            tdf,
+            *(f"{value * 1e3:.0f}" for value in _quantiles(row.download_times_s)),
             "-",
             "-",
             "-",
             "-",
-            "-" if comparison is None else
-            f"{max(c.error for c in comparison) * 100:.2f}%",
+            err,
         )
-    for comparison in report.comparisons:
-        figure.check(
-            f"swarm: {comparison.name} completion time within "
-            f"{LOSSY_TOLERANCE:.0%} of baseline on the virtual axis "
-            f"(err {comparison.error:.4f})",
-            comparison.within(LOSSY_TOLERANCE),
-        )
-    distance = ks_distance(base.download_times_s, dilated.download_times_s)
-    figure.check(
-        f"swarm: completion CDFs agree (KS {distance:.3f} <= 0.25)",
-        distance <= 0.25,
-    )
     figure.notes.append(
         "the schedule is virtual-time indexed: a TDF-10 run replays the "
         "same perceived handover trace with instants and delays x10 and "

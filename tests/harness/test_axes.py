@@ -9,11 +9,16 @@ silently re-route a sweep.
 
 import pytest
 
-from repro.harness.experiments import RUNNERS
+from repro.core.dilation import NetworkProfile
+from repro.harness import experiments
+from repro.harness.experiments import RUNNERS, run_bittorrent, run_bulk
 from repro.harness.runner import AXES, CellSpec, accepts, apply_axes
+from repro.harness.scenario import Scenario
 from repro.parallel.shard import DEFAULT_DELAY_SALT
 from repro.simnet.errors import ConfigurationError
 from repro.simnet.schedule import ScheduleSpec
+from repro.simnet.topology import Network
+from repro.simnet.units import mbps, ms
 from repro.trace.spec import TraceSpec
 
 CAPABILITIES = {
@@ -24,7 +29,6 @@ CAPABILITIES = {
     "run_web": set(),
     "run_cpu_task": set(),
     "run_bulk_with_cross_traffic": set(),
-    "run_consolidated": set(),
     "run_guest_build_job": set(),
     "run_dynamic_tdf": set(),
 }
@@ -118,3 +122,44 @@ def test_axis_overrides_a_value_the_cell_carries():
     (out,) = apply_axes([_cell("run_starlink", schedule=baked)], "figx",
                         schedule=user)
     assert out.kwargs["schedule"] == user
+
+
+PROFILE = NetworkProfile.from_rtt(mbps(10), ms(20))
+FIDELITY = "unknown fidelity 'fluid': expected 'packet' or 'hybrid'"
+REALTIME = "realtime=True requires shards=1"
+
+
+def _bulk(**kwargs):
+    return run_bulk(PROFILE, 1, duration_s=0.1, **kwargs)
+
+
+def _swarm(**kwargs):
+    return run_bittorrent(PROFILE, 1, leechers=2, file_bytes=1 << 16,
+                          seed=1, **kwargs)
+
+
+def _testbed(**kwargs):
+    return Scenario(Network(), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "run, kwargs, message",
+    [
+        (_bulk, {"fidelity": "fluid"}, FIDELITY),
+        (_bulk, {"fidelity": "fluid", "shards": 2}, FIDELITY),
+        (_swarm, {"fidelity": "fluid"}, FIDELITY),
+        (_swarm, {"fidelity": "fluid", "shards": 2}, FIDELITY),
+        (_bulk, {"realtime": True, "shards": 2}, REALTIME),
+        (_testbed, {"fidelity": "fluid"}, FIDELITY),
+    ],
+    ids=["bulk-fluid", "bulk-fluid-sharded", "swarm-fluid",
+         "swarm-fluid-sharded", "bulk-realtime-sharded", "testbed-fluid"],
+)
+def test_axis_refused_before_any_worker_starts(monkeypatch, run, kwargs,
+                                               message):
+    def spawn(*args, **kwargs):
+        raise AssertionError("a shard worker was started")
+
+    monkeypatch.setattr(experiments, "run_sharded", spawn)
+    with pytest.raises(ConfigurationError, match=message):
+        run(**kwargs)

@@ -72,14 +72,23 @@ class TestRunBulk:
             assert flow > 0.2 * mbps(20)
 
     def test_interarrivals_collected_in_virtual_time(self):
+        profile = NetworkProfile.from_rtt(mbps(10), ms(20))
         result = run_bulk(
-            NetworkProfile.from_rtt(mbps(10), ms(20)), 10,
+            profile, 10,
             duration_s=2.0, warmup_s=0.5, collect_interarrivals=True,
         )
         assert len(result.interarrivals) > 100
         # Spacing of full frames at the perceived 10 Mbps: 1.2 ms.
         median = sorted(result.interarrivals)[len(result.interarrivals) // 2]
         assert median == pytest.approx(1500 * 8 / mbps(10), rel=0.25)
+        # Warm-up arrivals are discarded (fig5's KS gate depends on it):
+        # the measured window is exactly the tail of a warm-up-free twin.
+        twin = run_bulk(
+            profile, 10, duration_s=2.0, collect_interarrivals=True,
+        )
+        measured = len(result.interarrivals)
+        assert len(twin.interarrivals) >= measured + 100
+        assert result.interarrivals == twin.interarrivals[-measured:]
 
     def test_srtt_matches_perceived_rtt(self):
         result = run_bulk(

@@ -180,8 +180,13 @@ class FigureCells:
 
     enumerate: Callable[..., List[CellSpec]]
     assemble: Callable[..., FigureResult]
-    has_impair_axis: bool = False
     description: str = ""
+
+    @property
+    def has_impair_axis(self) -> bool:
+        """Whether ``enumerate`` takes an ``impair`` parameter — the rule
+        :func:`accepts` applies to runners."""
+        return "impair" in inspect.signature(self.enumerate).parameters
 
     def cells(self, impair: Optional[str] = None) -> List[CellSpec]:
         if self.has_impair_axis:

@@ -23,6 +23,7 @@ from .experiments import relative_error
 __all__ = [
     "EquivalenceReport",
     "compare_metrics",
+    "metric_error",
     "check_equivalent",
     "assert_equivalent",
 ]
@@ -70,7 +71,9 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _metric_error(baseline: Metric, dilated: Metric) -> float:
+def metric_error(baseline: Metric, dilated: Metric) -> float:
+    """``dilated``'s relative error against ``baseline``: for paired
+    sequences the worst pair's, and inf when their lengths differ."""
     if isinstance(baseline, (int, float)) and isinstance(dilated, (int, float)):
         return relative_error(float(dilated), float(baseline))
     baseline_list = list(baseline)  # type: ignore[arg-type]
@@ -93,11 +96,11 @@ def compare_metrics(
 ) -> EquivalenceReport:
     """Build an :class:`EquivalenceReport` from already-measured metrics.
 
-    The cell-sweep figures land here: the parallel runner has already
-    executed the baseline and dilated cells, so assembly only needs the
-    comparison half of :func:`check_equivalent`. Metrics are compared on
-    whatever axis the caller measured them — figures pass virtual-time
-    quantities, which is the axis dilation equivalence is defined on.
+    The comparison half of :func:`check_equivalent`, for runs that have
+    already executed. Each metric's error is :func:`metric_error`, the
+    one the figures' equivalence gate reports too. Metrics are compared
+    on whatever axis the caller measured them; dilation equivalence is
+    defined on the virtual-time axis.
     """
     missing = set(baseline) ^ set(dilated)
     if missing:
@@ -107,7 +110,7 @@ def compare_metrics(
             name=name,
             baseline=baseline[name],
             dilated=dilated[name],
-            error=_metric_error(baseline[name], dilated[name]),
+            error=metric_error(baseline[name], dilated[name]),
         )
         for name in sorted(baseline)
     ]

@@ -613,6 +613,12 @@ class ImpairmentSpec:
                     f"handover outage ({self.outage_s}) must be positive and "
                     f"shorter than the cadence ({self.every_s})"
                 )
+        # Each stage's constructor is the one range check, so a spec is
+        # refused where it is written, not inside the cell that builds it.
+        # No stage touches its engine before attach (LinkFlap and Handover
+        # arm timers there), so this throwaway chain gets none: a
+        # Simulator here would join any active profiler's count.
+        self.build(None)  # type: ignore[arg-type]
 
     @classmethod
     def parse(cls, text: str) -> "ImpairmentSpec":

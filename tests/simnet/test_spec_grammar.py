@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.simnet.errors import ConfigurationError
 from repro.simnet.impairments import ImpairmentSpec
 from repro.simnet.schedule import ScheduleSpec, load_trace
+from repro.stats.engineprof import profiled
 from repro.trace.spec import TraceSpec
 
 
@@ -59,6 +60,40 @@ def test_schedule_spec_checks_csv_path_at_parse():
 def test_impairment_spec_names_a_non_numeric_value():
     with pytest.raises(ConfigurationError, match="bad rate 'abc'"):
         ImpairmentSpec.parse("bernoulli:rate=abc")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("bernoulli:rate=2", "loss rate must be in [0, 1]: 2.0"),
+    ("bernoulli:rate=-0.1", "loss rate must be in [0, 1]: -0.1"),
+    ("gilbert:rate=1", "loss_rate must be in (0, 1): 1.0"),
+    ("gilbert:rate=0.5,burst=0.5", "mean_burst must be >= 1: 0.5"),
+    ("reorder:rate=3", "reorder rate must be in [0, 1]: 3.0"),
+    ("reorder:rate=0.1,hold=-1", "hold_s must be finite and non-negative"),
+    ("duplicate:rate=1.5", "duplicate rate must be in [0, 1]: 1.5"),
+    ("corrupt:rate=2", "corrupt rate must be in [0, 1]: 2.0"),
+    ("flap:windows=2-1", "flap window must be finite with up_at > down_at"),
+    ("handover:every=2,count=2,outage=0.05,delays=-0.01",
+     "delays must be finite and non-negative"),
+])
+def test_impairment_spec_range_checked_at_parse(text, message):
+    with pytest.raises(ConfigurationError) as refused:
+        ImpairmentSpec.parse(text)
+    assert message in str(refused.value)
+
+
+@pytest.mark.parametrize("text", [
+    "bernoulli:rate=0.01,seed=7",
+    "gilbert:rate=0.01,burst=4",
+    "reorder:rate=0.05,hold=0.002",
+    "flap:windows=1.0-1.5/3.0-3.2",
+    "handover:every=2.0,count=3,outage=0.05,delays=0.03+0.05,hold=0.004",
+])
+def test_impairment_spec_docstring_examples_parse(text):
+    with profiled() as profiler:
+        ImpairmentSpec.parse(text)
+    # The parse-time range check builds no engine an active profiler
+    # would count.
+    assert profiler.snapshot()["simulators"] == 0
 
 
 def test_load_trace_refuses_nan_delay(tmp_path):

@@ -10,7 +10,7 @@ benchmark to start and observe.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ...simnet.node import Node
@@ -28,10 +28,9 @@ def salt_fraction(index: int) -> float:
     """Deterministic per-index fraction in [0, 1) for symmetry-breaking.
 
     Knuth's multiplicative hash spreads consecutive indices across the
-    unit interval so no two roster slots (and no arithmetic combination of
-    two slots' values) collide to the same float offset. Shared by the
-    harness's per-link ``delay_salt`` and the swarm's per-peer
-    ``timer_salt`` so both salts de-phase-lock the same way.
+    unit interval so no two indices (and no arithmetic combination of two
+    indices' values) collide to the same float offset. The harness's
+    per-link ``delay_salt`` draws its per-leaf offsets from it.
     """
     return ((index * 2654435761) & 0xFFFFFFFF) / 2.0 ** 32
 
@@ -98,7 +97,6 @@ def build_swarm(
     tcp_options: Optional[TcpOptions] = None,
     on_leecher_complete: Optional[Callable[[Peer], None]] = None,
     include: Optional[Callable[[Node], bool]] = None,
-    timer_salt: float = 0.0,
 ) -> Swarm:
     """Install tracker and peers on prepared nodes.
 
@@ -110,17 +108,6 @@ def build_swarm(
     get a ``None`` placeholder instead of a peer (or tracker). The master
     RNG is drawn for *every* roster slot regardless, so each constructed
     peer receives exactly the seed it would in a single-process build.
-
-    ``timer_salt`` spreads the choke intervals by a relative per-peer
-    offset (roster slot ``i`` gets ``interval * (1 + timer_salt *
-    salt_fraction(i))``). The default 0.0 keeps every peer on the
-    historical shared interval. It exists as the symmetry-breaking
-    fallback for sharded runs whose specs cannot accept salted *link*
-    delays: periodic timers otherwise fire at bit-equal copies of old
-    arrival instants, the one tie class a bounded cross-shard key cannot
-    order by creation genealogy (see :mod:`repro.parallel.shard`). The
-    offset is derived from the full roster index, so a sharded build
-    salts identically to a single-process one.
     """
 
     def wanted(node: Node) -> bool:
@@ -134,17 +121,10 @@ def build_swarm(
     )
     base_config = config if config is not None else PeerConfig()
 
-    def make_peer(node: Node, seed: bool, slot: int) -> Optional[Peer]:
+    def make_peer(node: Node, seed: bool) -> Optional[Peer]:
         peer_seed = rng.getrandbits(32)  # always drawn: keeps streams aligned
         if not wanted(node):
             return None
-        peer_config = base_config
-        if timer_salt:
-            peer_config = replace(
-                base_config,
-                choke_interval_s=base_config.choke_interval_s
-                * (1.0 + timer_salt * salt_fraction(slot)),
-            )
         return Peer(
             tcp=TcpStack(node, default_options=tcp_options),
             udp=UdpStack(node),
@@ -152,17 +132,11 @@ def build_swarm(
             tracker_addr=tracker_node.name,
             rng=random.Random(peer_seed),
             seed=seed,
-            config=peer_config,
+            config=base_config,
             tcp_options=tcp_options,
             on_complete=on_leecher_complete if not seed else None,
         )
 
-    roster = [(node, True) for node in seed_nodes]
-    roster += [(node, False) for node in leecher_nodes]
-    peers = [
-        make_peer(node, seed, slot)
-        for slot, (node, seed) in enumerate(roster)
-    ]
-    seeds = peers[: len(seed_nodes)]
-    leechers = peers[len(seed_nodes):]
+    seeds = [make_peer(node, True) for node in seed_nodes]
+    leechers = [make_peer(node, False) for node in leecher_nodes]
     return Swarm(tracker=tracker, seeds=seeds, leechers=leechers)

@@ -90,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "(e.g. ext4): kind[:key=value,...] — "
              "'bernoulli:rate=0.01,seed=7', 'gilbert:rate=0.01,burst=4', "
              "'reorder:rate=0.05,hold=0.002', 'duplicate:rate=0.01', "
-             "'corrupt:rate=0.01', 'flap:windows=1.0-1.5/3.0-3.2'",
+             "'corrupt:rate=0.01'; outages and delay steps are "
+             "--schedule, not --impair",
     )
     parser.add_argument(
         "--trace",

@@ -494,7 +494,6 @@ def run_bittorrent(
     schedule: Optional[ScheduleSpec] = None,
     trace: Optional[TraceSpec] = None,
     delay_salt: float = 0.0,
-    timer_salt: float = 0.0,
     shards: int = 1,
     fidelity: str = "packet",
     _shard=None,
@@ -532,11 +531,7 @@ def run_bittorrent(
     into, where packets from different leaves reach the hub at *bit-equal*
     timestamps; those ties are resolved by unbounded event-creation
     genealogy in a single process, which no bounded cross-shard merge key
-    can reproduce (see :mod:`repro.parallel.shard`). ``timer_salt``
-    spreads the peers' choke intervals the same way (roster slot ``i``
-    gets ``interval * (1 + timer_salt * frac(i))``) — the documented
-    fallback for specs that must keep link delays bit-symmetric but can
-    tolerate de-phase-locked timers; default 0.0, so goldens never see it.
+    can reproduce (see :mod:`repro.parallel.shard`).
 
     ``shards=N`` keeps the hub and tracker in worker 0, stripes the seed
     into worker 1 (its upload traffic is ~15% of swarm events — leaving
@@ -600,7 +595,6 @@ def run_bittorrent(
         rng=random.Random(seed),
         config=PeerConfig(choke_interval_s=5.0, stall_timeout_s=20.0),
         include=bed.owns if _shard is not None else None,
-        timer_salt=timer_salt,
     )
     bed.record(
         "swarm",

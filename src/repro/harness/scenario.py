@@ -176,7 +176,7 @@ class Scenario:
         ``owner`` (its transmitting node); a no-op for None. The spec's
         time-valued knobs are virtual, scaled by the testbed's TDF."""
         if spec is not None and self.owns(owner):
-            iface.set_impairments(spec.build(self.sim, tdf=self.tdf))
+            iface.set_impairments(spec.build(tdf=self.tdf))
 
     def record(
         self,

@@ -88,11 +88,7 @@ perfectly symmetric topology (every leaf the same delay) phase-locks real
 traffic onto exactly such ties; experiment builders therefore expose a
 deterministic per-link ``delay_salt`` that perturbs propagation delays at
 the nanosecond scale, making bit-equal cross-shard creation instants
-measure-zero and the bounded key exact. (Apps that cannot accept salted
-link delays can instead salt their *timer periods* — see the swarm's
-``timer_salt`` — which de-phase-locks the timer-vs-arrival class the same
-way; the harness default is link salt because it also covers
-delivery-vs-delivery ties.) Unsalted symmetric runs still merge
+measure-zero and the bounded key exact. Unsalted symmetric runs still merge
 *aggregates* exactly (event counts are conserved 1:1, byte totals are
 order-free) but may reorder same-float deliveries; the flight-recorder
 divergence gates in CI run salted.
@@ -631,9 +627,13 @@ def _worker_main(
         ctx = ShardContext(shard_id, shards, assignment, mesh)
         result = RUNNERS[runner_name](**kwargs, shards=shards, _shard=ctx)
         result_conn.send(("ok", result, ctx.stats()))
-    except BaseException:
+    except BaseException as error:
+        report = (
+            ("refused", str(error)) if isinstance(error, ConfigurationError)
+            else ("error", traceback.format_exc())
+        )
         try:
-            result_conn.send(("error", traceback.format_exc()))
+            result_conn.send(report)
         except Exception:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -657,7 +657,10 @@ def run_sharded(
     and failures (a worker that raises reports its traceback; a worker
     that dies hard is caught by exit-code polling, and either way all
     siblings are terminated so a mesh partner's death can never hang the
-    run).
+    run). A worker's :class:`ConfigurationError` is raised again here as
+    the same one-line :class:`ConfigurationError`, so a bad argument is
+    refused alike at every shard count; every other failure becomes a
+    :class:`RuntimeError` carrying the worker's traceback.
 
     Returns ``(results, stats)``, both indexed by shard id. The caller
     (the experiment runner's parent entry) owns the merge.
@@ -719,6 +722,9 @@ def run_sharded(
                     if message[0] == "ok":
                         outcomes[shard_id] = (message[1], message[2])
                         pending.discard(shard_id)
+                    elif message[0] == "refused":
+                        # The finally below still stops the siblings.
+                        raise ConfigurationError(message[1])
                     else:
                         failure = f"shard {shard_id} failed:\n{message[1]}"
                         break

@@ -23,10 +23,8 @@ from .impairments import (
     Corrupt,
     Duplicate,
     GilbertElliott,
-    Handover,
     ImpairmentChain,
     ImpairmentSpec,
-    LinkFlap,
     Reorder,
 )
 from .link import Link
@@ -55,8 +53,6 @@ __all__ = [
     "Reorder",
     "Duplicate",
     "Corrupt",
-    "LinkFlap",
-    "Handover",
     "ImpairmentChain",
     "ImpairmentSpec",
     "Link",

@@ -2,10 +2,12 @@
 
 The paper's validation matters most where the network is *imperfect*: a
 dilated guest must reproduce the scaled baseline's behaviour under packet
-loss, burstiness, reordering and outages — not just on clean pipes. This
-module is the emulator's netem/dummynet-style impairment layer: a chain of
-stages attached to an :class:`~repro.simnet.nic.Interface` that every
-egress packet passes through before queueing.
+loss, burstiness and reordering — not just on clean pipes. This module is
+the emulator's netem/dummynet-style impairment layer: a chain of stages
+attached to an :class:`~repro.simnet.nic.Interface` that every egress
+packet passes through before queueing. Outages and delay steps are not
+stages: they change the link over time, which is what a
+:class:`~repro.simnet.schedule.LinkSchedule` does.
 
 Stages
 ------
@@ -18,8 +20,6 @@ Stages
 * :class:`Corrupt` — flips the packet's ``corrupted`` flag; the receiving
   transport detects it (checksum) and discards, so corruption is visible
   as loss *plus* the wasted wire time.
-* :class:`LinkFlap` — scheduled outage windows driven by engine timers;
-  packets sent while down are dropped with reason ``"flap"``.
 
 Determinism
 -----------
@@ -27,8 +27,8 @@ Every probabilistic stage draws from an injected ``random.Random`` (or a
 ``seed``). Decisions are made **per packet in arrival order**, never from
 the clock, so a dilated run and its scaled baseline — which present the
 identical packet sequence — see the identical loss/reorder/duplication
-pattern. Time-valued knobs (``hold_s``, flap windows) are physical
-seconds; :meth:`ImpairmentSpec.build` scales virtual-time specs by the TDF
+pattern. The time-valued knob (``hold_s``) is physical seconds at this
+layer; :meth:`ImpairmentSpec.build` scales virtual-time specs by the TDF
 exactly as :func:`repro.core.dilation.physical_for` scales delays.
 
 An interface with no chain attached pays one attribute check per packet
@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from .engine import Simulator
 from .errors import ConfigurationError
 from .grammar import number, split_spec
 from .packet import Packet
@@ -57,8 +56,6 @@ __all__ = [
     "Reorder",
     "Duplicate",
     "Corrupt",
-    "LinkFlap",
-    "Handover",
     "FunctionLoss",
     "ImpairmentChain",
     "ImpairmentSpec",
@@ -80,14 +77,9 @@ class Impairment:
 
     ``apply`` returns ``None`` to pass the packet unchanged, or a verdict
     tuple: ``("drop", reason)``, ``("hold", delay_s)``, or ``("dup",)``.
-    Stages may also mutate the packet in place (corruption does).
-
-    Stages additionally get lifecycle callbacks from
-    :meth:`~repro.simnet.nic.Interface.set_impairments`: ``attach`` when
-    the containing chain is installed on an egress, ``detach`` when it is
-    replaced or cleared. Stages that arm engine timers (:class:`LinkFlap`,
-    :class:`Handover`) defer arming to ``attach`` — a chain that is built
-    but never attached must schedule nothing — and cancel on ``detach``.
+    Stages may also mutate the packet in place (corruption does). A stage
+    decides per packet and arms no engine timer, so building a chain
+    schedules nothing.
     """
 
     #: Drop-taxonomy reason this stage charges (overridden per class).
@@ -95,12 +87,6 @@ class Impairment:
 
     def apply(self, packet: Packet) -> Optional[tuple]:  # pragma: no cover
         raise NotImplementedError
-
-    def attach(self, iface: "Interface") -> None:
-        """Lifecycle hook: the chain was installed on ``iface``'s egress."""
-
-    def detach(self, iface: "Interface") -> None:
-        """Lifecycle hook: the chain was removed from ``iface``'s egress."""
 
 
 class BernoulliLoss(Impairment):
@@ -280,182 +266,6 @@ class Corrupt(Impairment):
         return None
 
 
-class LinkFlap(Impairment):
-    """Scheduled outage windows driven by engine timers.
-
-    ``windows`` is a sequence of ``(down_at, up_at)`` physical times. One
-    timer per edge is armed when the chain is first attached to an
-    interface — never at construction, so a chain that is built but never
-    installed leaks no engine events and does not skew ``pending()`` —
-    and every armed timer is cancelled when the last attachment is
-    removed. While down, every packet through the stage is dropped with
-    reason ``"flap"`` — in-flight packets already past the transmitter
-    still arrive, as on a real cut.
-    """
-
-    reason = "flap"
-
-    def __init__(self, sim: Simulator,
-                 windows: Sequence[Tuple[float, float]]) -> None:
-        self.down = False
-        self.transitions = 0
-        for down_at, up_at in windows:
-            if not -math.inf < down_at < up_at < math.inf:  # refuses NaN
-                raise ConfigurationError(
-                    "flap window must be finite with up_at > down_at: "
-                    f"({down_at}, {up_at})"
-                )
-        self.sim = sim
-        self.windows: Tuple[Tuple[float, float], ...] = tuple(
-            (down_at, up_at) for down_at, up_at in windows
-        )
-        self._timers: List[object] = []
-        self._attached = 0
-
-    def attach(self, iface: "Interface") -> None:
-        self._attached += 1
-        if self._attached == 1:
-            now = self.sim.now
-            for down_at, up_at in self.windows:
-                # Edges already in the past (chain installed mid-run) are
-                # skipped rather than rejected: the stage simply starts in
-                # whatever state the remaining edges imply.
-                if down_at >= now:
-                    self._timers.append(self.sim.call_at(down_at, self._go_down))
-                if up_at >= now:
-                    self._timers.append(self.sim.call_at(up_at, self._go_up))
-
-    def detach(self, iface: "Interface") -> None:
-        self._attached -= 1
-        if self._attached == 0:
-            for timer in self._timers:
-                if timer.active:
-                    timer.cancel()
-            self._timers.clear()
-
-    def _go_down(self) -> None:
-        self.down = True
-        self.transitions += 1
-
-    def _go_up(self) -> None:
-        self.down = False
-        self.transitions += 1
-
-    def apply(self, packet: Packet) -> Optional[tuple]:
-        if self.down:
-            return (_DROP, self.reason)
-        return None
-
-
-class Handover(Impairment):
-    """LEO-style satellite switch: outage + delay step + reorder burst.
-
-    At each instant in ``times`` the egress goes dark for ``outage_s``
-    (packets dropped with reason ``"handover"``) and then re-acquires
-    with the interface's propagation delay stepped to the next value in
-    ``delays`` (cycled; empty keeps the delay unchanged). Optionally the
-    first ``burst`` packets after re-acquisition are each held ``hold_s``
-    — the reorder burst real constellations show while the new path's
-    queue drains. A delay *decrease* at a switch cannot reorder the pipe
-    itself: the NIC clamps arrivals FIFO per direction.
-
-    The stage needs its interface to step the delay, so timers are armed
-    on attach and cancelled on detach; one stage serves exactly one
-    attachment point (build a fresh chain per interface, as with every
-    stateful stage). Times and delays are physical seconds at this layer;
-    :meth:`ImpairmentSpec.build` scales virtual-second specs by the TDF.
-    """
-
-    reason = "handover"
-
-    def __init__(
-        self,
-        sim: Simulator,
-        times: Sequence[float],
-        outage_s: float,
-        delays: Sequence[float] = (),
-        burst: int = 0,
-        hold_s: float = 0.0,
-    ) -> None:
-        # Every guard is written so that NaN fails it.
-        if not 0 < outage_s < math.inf:
-            raise ConfigurationError(
-                f"outage_s must be finite and positive: {outage_s}"
-            )
-        if not 0 <= hold_s < math.inf:
-            raise ConfigurationError(
-                f"hold_s must be finite and non-negative: {hold_s}"
-            )
-        if burst < 0:
-            raise ConfigurationError(f"burst must be non-negative: {burst}")
-        ordered = tuple(float(t) for t in times)
-        if not all(math.isfinite(t) for t in ordered) or any(
-            b <= a for a, b in zip(ordered, ordered[1:])
-        ):
-            raise ConfigurationError(
-                f"handover times must be finite and strictly increasing: "
-                f"{ordered}"
-            )
-        if not all(0 <= d < math.inf for d in delays):
-            raise ConfigurationError(
-                f"delays must be finite and non-negative: {delays}"
-            )
-        self.sim = sim
-        self.times = ordered
-        self.outage_s = outage_s
-        self.delays = tuple(float(d) for d in delays)
-        self.burst = burst
-        self.hold_s = hold_s
-        self.down = False
-        self.handovers = 0
-        self._burst_left = 0
-        self._delay_index = 0
-        self._iface: Optional["Interface"] = None
-        self._timers: List[object] = []
-
-    def attach(self, iface: "Interface") -> None:
-        if self._iface is not None:
-            raise ConfigurationError(
-                "a Handover stage serves one interface; build one chain "
-                "per attachment point"
-            )
-        self._iface = iface
-        now = self.sim.now
-        for at in self.times:
-            if at >= now:
-                self._timers.append(self.sim.call_at(at, self._switch))
-
-    def detach(self, iface: "Interface") -> None:
-        self._iface = None
-        for timer in self._timers:
-            if timer.active:
-                timer.cancel()
-        self._timers.clear()
-
-    def _switch(self) -> None:
-        self.down = True
-        self.handovers += 1
-        self._timers.append(
-            self.sim.call_at(self.sim.now + self.outage_s, self._acquire)
-        )
-
-    def _acquire(self) -> None:
-        self.down = False
-        iface = self._iface
-        if iface is not None and self.delays:
-            iface.delay_s = self.delays[self._delay_index % len(self.delays)]
-            self._delay_index += 1
-        self._burst_left = self.burst
-
-    def apply(self, packet: Packet) -> Optional[tuple]:
-        if self.down:
-            return (_DROP, self.reason)
-        if self._burst_left > 0 and self.hold_s > 0:
-            self._burst_left -= 1
-            return (_HOLD, self.hold_s)
-        return None
-
-
 class FunctionLoss(Impairment):
     """The stage behind :meth:`Interface.set_loss`: drop every packet for
     which ``fn(packet)`` is true, charged as ``"injected"``."""
@@ -487,16 +297,6 @@ class ImpairmentChain:
         """Append a stage; returns self for chaining."""
         self.stages.append(stage)
         return self
-
-    def attach(self, iface: "Interface") -> None:
-        """Forward the install lifecycle event to every stage."""
-        for stage in self.stages:
-            stage.attach(iface)
-
-    def detach(self, iface: "Interface") -> None:
-        """Forward the removal lifecycle event to every stage."""
-        for stage in self.stages:
-            stage.detach(iface)
 
     def send_through(self, iface: "Interface", packet: Packet) -> None:
         """Run ``packet`` through the stages, then into the egress queue."""
@@ -537,23 +337,26 @@ def _clone(packet: Packet) -> Packet:
 
 
 #: Spec kinds understood by :meth:`ImpairmentSpec.build`.
-_KINDS = (
-    "bernoulli", "gilbert", "reorder", "duplicate", "corrupt", "flap",
-    "handover",
-)
+_KINDS = ("bernoulli", "gilbert", "reorder", "duplicate", "corrupt")
 
 
 #: ``--impair`` options holding one float, by field name.
-_FLOAT_OPTIONS = {"rate": "rate", "burst": "burst", "hold": "hold_s",
-                  "every": "every_s", "outage": "outage_s"}
+_FLOAT_OPTIONS = {"rate": "rate", "burst": "burst", "hold": "hold_s"}
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in _KINDS:
+        raise ConfigurationError(
+            f"unknown impairment kind {kind!r}; known: {_KINDS}"
+        )
 
 
 @dataclass(frozen=True)
 class ImpairmentSpec:
     """A declarative, TDF-portable impairment description.
 
-    Time-valued fields (``hold_s``, ``windows``) are **virtual** seconds:
-    :meth:`build` multiplies them by the TDF so a dilated run impairs the
+    The time-valued field (``hold_s``) is **virtual** seconds:
+    :meth:`build` multiplies it by the TDF so a dilated run impairs the
     physically-stretched path at the same *perceived* instants as its
     baseline. Probability fields are per-packet and need no scaling.
 
@@ -562,95 +365,50 @@ class ImpairmentSpec:
         bernoulli:rate=0.01,seed=7
         gilbert:rate=0.01,burst=4
         reorder:rate=0.05,hold=0.002
-        flap:windows=1.0-1.5/3.0-3.2
-        handover:every=2.0,count=3,outage=0.05,delays=0.03+0.05,hold=0.004
 
-    ``handover`` switches satellites every ``every`` virtual seconds,
-    ``count`` times: each switch is a brief outage plus a delay step to
-    the next value in ``delays`` (cycled), optionally followed by a
-    reorder burst of ``int(burst)`` packets held ``hold`` seconds each
-    (``hold=0`` disables the burst).
+    Outages and delay steps are link schedules, not impairments: see
+    :class:`~repro.simnet.schedule.ScheduleSpec` (``--schedule``).
     """
 
     kind: str
     rate: float = 0.01
     burst: float = 4.0
     hold_s: float = 0.0
-    windows: Tuple[Tuple[float, float], ...] = field(default_factory=tuple)
     seed: int = 1
-    #: Handover cadence: virtual seconds between satellite switches.
-    every_s: float = 0.0
-    #: Handover count: number of switches over the run.
-    count: int = 0
-    #: Handover outage: virtual seconds of darkness per switch.
-    outage_s: float = 0.05
-    #: Handover delay steps: virtual one-way delays cycled per switch.
-    delays: Tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigurationError(
-                f"unknown impairment kind {self.kind!r}; known: {_KINDS}"
-            )
-        values = (self.rate, self.burst, self.hold_s, self.every_s,
-                  self.outage_s, *self.delays,
-                  *(edge for window in self.windows for edge in window))
-        if not all(math.isfinite(value) for value in values):
+        _check_kind(self.kind)
+        if not all(math.isfinite(value)
+                   for value in (self.rate, self.burst, self.hold_s)):
             raise ConfigurationError(
                 f"impairment values must be finite (no NaN or inf): {self}"
             )
-        if self.kind == "handover":
-            if self.every_s <= 0:
-                raise ConfigurationError(
-                    "handover needs every=<seconds between switches> > 0"
-                )
-            if self.count < 1:
-                raise ConfigurationError(
-                    "handover needs count=<number of switches> >= 1"
-                )
-            if not 0 < self.outage_s < self.every_s:
-                raise ConfigurationError(
-                    f"handover outage ({self.outage_s}) must be positive and "
-                    f"shorter than the cadence ({self.every_s})"
-                )
         # Each stage's constructor is the one range check, so a spec is
         # refused where it is written, not inside the cell that builds it.
-        # No stage touches its engine before attach (LinkFlap and Handover
-        # arm timers there), so this throwaway chain gets none: a
-        # Simulator here would join any active profiler's count.
-        self.build(None)  # type: ignore[arg-type]
+        self.build()
 
     @classmethod
     def parse(cls, text: str) -> "ImpairmentSpec":
         """Parse the CLI form ``kind[:key=value,...]``.
 
-        Every malformed item raises :class:`ConfigurationError` naming it.
+        Every malformed item raises :class:`ConfigurationError` naming it;
+        an unknown kind is named before any of its options.
         """
         kind, options = split_spec(text, "impairment")
+        _check_kind(kind)
         kwargs: dict = {}
         for key, value in options:
             if key in _FLOAT_OPTIONS:
                 kwargs[_FLOAT_OPTIONS[key]] = number(key, value, "impairment")
-            elif key in ("seed", "count"):
+            elif key == "seed":
                 kwargs[key] = number(key, value, "impairment", int)
-            elif key == "delays":
-                kwargs["delays"] = tuple(
-                    number(key, d, "impairment") for d in value.split("+") if d
-                )
-            elif key == "windows":
-                pairs = []
-                for window in value.split("/"):
-                    down, _, up = window.partition("-")
-                    pairs.append((number(key, down, "impairment"),
-                                  number(key, up, "impairment")))
-                kwargs["windows"] = tuple(pairs)
             else:
                 raise ConfigurationError(
                     f"unknown impairment option {key!r} in {text!r}"
                 )
         return cls(kind=kind, **kwargs)
 
-    def build(self, sim: Simulator, tdf: object = 1) -> ImpairmentChain:
+    def build(self, tdf: object = 1) -> ImpairmentChain:
         """Materialise a chain for one interface, scaled to ``tdf``.
 
         Construct one chain per interface per run: stages carry RNG and
@@ -669,23 +427,6 @@ class ImpairmentSpec:
             stage = Reorder(self.rate, self.hold_s * factor, seed=self.seed)
         elif self.kind == "duplicate":
             stage = Duplicate(self.rate, seed=self.seed)
-        elif self.kind == "corrupt":
+        else:  # corrupt
             stage = Corrupt(self.rate, seed=self.seed)
-        elif self.kind == "flap":
-            scaled = tuple(
-                (down * factor, up * factor) for down, up in self.windows
-            )
-            stage = LinkFlap(sim, scaled)
-        else:  # handover
-            stage = Handover(
-                sim,
-                times=tuple(
-                    (index + 1) * self.every_s * factor
-                    for index in range(self.count)
-                ),
-                outage_s=self.outage_s * factor,
-                delays=tuple(d * factor for d in self.delays),
-                burst=int(self.burst) if self.hold_s > 0 else 0,
-                hold_s=self.hold_s * factor,
-            )
         return ImpairmentChain([stage])

@@ -81,7 +81,7 @@ class Interface:
         #: else, so determinism pins and engine benchmarks are unchanged.
         self.recorder = None
         #: Optional impairment pipeline (loss models, reordering,
-        #: duplication, corruption, flaps); ``None`` costs one attribute
+        #: duplication, corruption); ``None`` costs one attribute
         #: check per packet and schedules no events.
         self._impairments: Optional[ImpairmentChain] = None
         #: Administrative state: a downed interface drops everything
@@ -92,7 +92,7 @@ class Interface:
         #: (administratively down), "injected" (a :meth:`set_loss`
         #: predicate), "queue" (discipline rejected it), "shaper" (a wrapping
         #: ShapedInterface's backlog overflowed), or an impairment-stage
-        #: reason ("loss", "reorder"…, "flap"). Mirrored into
+        #: reason ("loss", "reorder"…). Mirrored into
         #: ``sim.counters["drop.<reason>"]`` for engine-wide summaries.
         self.drops: Dict[str, int] = {}
         #: Bytes successfully put on the wire (serialised), for utilisation.
@@ -115,7 +115,7 @@ class Interface:
         self.schedule = None
         #: FIFO horizon: the latest arrival instant this direction has
         #: handed to the propagation pipe. A mid-run *decrease* of
-        #: ``delay_s`` (schedule step, handover re-acquisition) must not
+        #: ``delay_s`` (a schedule step) must not
         #: let a later packet overtake one already in flight — dummynet
         #: clamps each arrival to the previous packet's, and so do we.
         #: Jittered interfaces are exempt: netem-style jitter reorders by
@@ -149,20 +149,9 @@ class Interface:
         )
 
     def set_impairments(self, chain: Optional[ImpairmentChain]) -> None:
-        """Attach (or clear) an impairment pipeline on this egress.
-
-        Stages get lifecycle callbacks: the outgoing chain's stages are
-        detached first (cancelling any engine timers they armed — see
-        :class:`~repro.simnet.impairments.LinkFlap`), then the incoming
-        chain's stages are attached. A chain that is built but never
-        attached therefore schedules nothing.
-        """
-        old = self._impairments
-        if old is not None:
-            old.detach(self)
+        """Attach (or clear, with ``None``) an impairment pipeline on this
+        egress, replacing any chain already there."""
         self._impairments = chain
-        if chain is not None:
-            chain.attach(self)
 
     def fluid_transparent(self) -> bool:
         """True when this egress is a pure delay+bandwidth+droptail pipe.

@@ -83,10 +83,11 @@ def load_trace(path: str) -> Tuple[ScheduleEntry, ...]:
         t_s,delay_s[,bandwidth_bps[,up]]
 
     Empty cells keep the previous value; ``up`` accepts ``0/1``,
-    ``true/false``, ``up/down``; numbers must be finite. Timestamps must
-    be strictly increasing (checked when a :class:`LinkSchedule` is
-    built). This is the same shape the Starlink-emulator feeds Mininet —
-    one latency sample per timestamp — with optional capacity and
+    ``true/false``, ``up/down``; numbers must be finite. A
+    :class:`ScheduleSpec` also checks the rows as a schedule (ordered
+    instants, delay and bandwidth ranges) when it is made. This is the
+    same shape the Starlink-emulator feeds Mininet — one latency sample
+    per timestamp — with optional capacity and
     liveness columns. Every problem, an unreadable file included, raises
     :class:`ConfigurationError` naming the file (and ``:line``).
     """
@@ -126,6 +127,44 @@ def load_trace(path: str) -> Tuple[ScheduleEntry, ...]:
     if not entries:
         raise ConfigurationError(f"trace {path!r} contains no entries")
     return tuple(entries)
+
+
+def _check_entries(
+    entries: Sequence[ScheduleEntry],
+) -> Tuple[ScheduleEntry, ...]:
+    """Refuse an entry list no link could follow; return it as a tuple.
+
+    The one validity check of a schedule, shared by :class:`ScheduleSpec`
+    (a CSV trace is refused where it is named) and :class:`LinkSchedule`:
+    at least one entry, finite non-negative instants in strictly
+    increasing order, delays finite and non-negative, bandwidths finite
+    and positive. Every guard is written so that NaN fails it.
+    """
+    ordered = tuple(entries)
+    if not ordered:
+        raise ConfigurationError("a LinkSchedule needs at least one entry")
+    for prev, entry in zip(ordered, ordered[1:]):
+        if not entry.at_s > prev.at_s:
+            raise ConfigurationError(
+                f"schedule times must be strictly increasing: "
+                f"{prev.at_s} then {entry.at_s}"
+            )
+    for entry in ordered:
+        if not 0 <= entry.at_s < math.inf:
+            raise ConfigurationError(
+                f"schedule times must be finite and non-negative: "
+                f"{entry.at_s}"
+            )
+        if entry.delay_s is not None and not 0 <= entry.delay_s < math.inf:
+            raise ConfigurationError(
+                f"scheduled delay must be non-negative: {entry.delay_s}"
+            )
+        if (entry.bandwidth_bps is not None
+                and not 0 < entry.bandwidth_bps < math.inf):
+            raise ConfigurationError(
+                f"scheduled bandwidth must be positive: {entry.bandwidth_bps}"
+            )
+    return ordered
 
 
 #: ``up`` column tokens of a CSV trace.
@@ -204,29 +243,12 @@ class LinkSchedule:
         link: "Link",
         entries: Sequence[ScheduleEntry],
     ) -> None:
-        ordered = tuple(entries)
-        if not ordered:
-            raise ConfigurationError("a LinkSchedule needs at least one entry")
-        for prev, entry in zip(ordered, ordered[1:]):
-            if entry.at_s <= prev.at_s:
-                raise ConfigurationError(
-                    f"schedule times must be strictly increasing: "
-                    f"{prev.at_s} then {entry.at_s}"
-                )
-        for entry in ordered:
-            if entry.at_s < sim.now:
-                raise ConfigurationError(
-                    f"schedule entry at {entry.at_s} is in the past "
-                    f"(now {sim.now})"
-                )
-            if entry.delay_s is not None and entry.delay_s < 0:
-                raise ConfigurationError(
-                    f"scheduled delay must be non-negative: {entry.delay_s}"
-                )
-            if entry.bandwidth_bps is not None and entry.bandwidth_bps <= 0:
-                raise ConfigurationError(
-                    f"scheduled bandwidth must be positive: {entry.bandwidth_bps}"
-                )
+        ordered = _check_entries(entries)
+        if ordered[0].at_s < sim.now:
+            raise ConfigurationError(
+                f"schedule entry at {ordered[0].at_s} is in the past "
+                f"(now {sim.now})"
+            )
         self.sim = sim
         self.link = link
         self.entries = ordered
@@ -339,6 +361,9 @@ class ScheduleSpec:
         if self.kind == "csv":
             if not self.path:
                 raise ConfigurationError("csv schedule needs path=<trace file>")
+            # The trace is read and checked where the spec is made, so a
+            # bad file is refused before any cell (or worker) runs.
+            _check_entries(load_trace(self.path))
         else:
             if self.period_s <= 0:
                 raise ConfigurationError(
@@ -365,8 +390,7 @@ class ScheduleSpec:
         """Parse the CLI form ``kind[:key=value,...]``.
 
         Every malformed item raises :class:`ConfigurationError` naming
-        it; a ``csv`` trace is loaded (and so checked) here, not first
-        when a cell builds it.
+        it.
         """
         kind, options = split_spec(text, "schedule")
         kwargs: dict = {}
@@ -382,10 +406,7 @@ class ScheduleSpec:
                     f"unknown schedule option {key!r} in {text!r}; "
                     "known: period, count, outage, amp, dip, path"
                 )
-        spec = cls(kind=kind, **kwargs)
-        if spec.kind == "csv":
-            load_trace(spec.path)
-        return spec
+        return cls(kind=kind, **kwargs)
 
     def virtual_entries(
         self,

@@ -115,7 +115,7 @@ class FlowMonitor:
 
         Reasons are the NIC taxonomy: "down", "injected", "queue",
         "shaper", plus impairment-stage reasons ("loss", "reorder",
-        "duplicate", "corrupt", "flap"). Interfaces with no drops map to
+        "duplicate", "corrupt"). Interfaces with no drops map to
         ``{}``.
         """
         return {iface.name: dict(iface.drops) for iface in self.interfaces}

@@ -5,7 +5,7 @@ flight recorder instruments:
 
 ``packet``
     ``enqueue`` / ``tx`` / ``rx`` / ``drop`` on an interface. Drops carry
-    the PR-2 taxonomy reason (``"queue"``, ``"loss"``, ``"flap"``…) in
+    the NIC drop-taxonomy reason (``"queue"``, ``"loss"``, ``"down"``…) in
     ``reason``. When the packet's payload is a TCP segment the TCP header
     fields ride along so a pcap can be synthesized later.
 ``tcp``

@@ -43,12 +43,9 @@ def test_scheduled_bulk_two_shards_metrics_identical():
     assert len(sharded.shard_stats) == 2
 
 
-def test_scheduled_bulk_trace_diff_pins_zero_divergence():
-    """The cut link itself is the scheduled one (run_bulk schedules the
-    bottleneck, which the dumbbell assignment cuts), so this pins both
-    the replayed schedule and the re-derived lookahead."""
+def _assert_zero_divergence(schedule):
     kwargs = dict(perceived=PROFILE, tdf=1, duration_s=6.0, flows=2,
-                  schedule=SCHEDULE,
+                  schedule=schedule,
                   trace=TraceSpec(point="bottleneck", tcp=True))
     single = run_bulk(**kwargs)
     sharded = run_bulk(**kwargs, shards=2)
@@ -60,3 +57,20 @@ def test_scheduled_bulk_trace_diff_pins_zero_divergence():
     assert report.events_compared > 0
     # The schedule bit: outage windows really dropped traffic dark.
     assert single.bottleneck_drops.get("down", 0) > 0
+
+
+def test_scheduled_bulk_trace_diff_pins_zero_divergence():
+    """The cut link itself is the scheduled one (run_bulk schedules the
+    bottleneck, which the dumbbell assignment cuts), so this pins both
+    the replayed schedule and the re-derived lookahead."""
+    _assert_zero_divergence(SCHEDULE)
+
+
+def test_csv_handover_trace_diff_pins_zero_divergence(tmp_path):
+    """A satellite handover written as csv rows: dark for 20 ms, then
+    back with a 1 ms one-way delay, far below the bottleneck's static
+    30 ms, so the cut's lookahead must come from the schedule. This is
+    the one path a time-varying link takes at every shard count."""
+    path = tmp_path / "handover.csv"
+    path.write_text("0.5,,,0\n0.52,0.001,,1\n1.0,,,0\n1.02,0.03,,1\n")
+    _assert_zero_divergence(ScheduleSpec(kind="csv", path=str(path)))

@@ -118,26 +118,6 @@ def test_unsalted_symmetric_swarm_aggregates_exact():
     )
 
 
-def test_timer_salt_applies_identically_sharded_and_single():
-    """``timer_salt`` (the symmetry-breaking fallback for specs that keep
-    link delays exact) must derive from the full roster, not from shard
-    ownership: a salted-timer sharded run stays event-for-event identical
-    to its single-process twin."""
-    kwargs = dict(perceived_leaf=PROFILE, tdf=1, leechers=4,
-                  file_bytes=128 * 1024, seed=99, delay_salt=1e-6,
-                  timer_salt=1e-3)
-    single = run_bittorrent(**kwargs)
-    sharded = run_bittorrent(**kwargs, shards=2)
-    assert _fields(sharded) == _fields(single)
-    # And the salt is real: it perturbs the run relative to unsalted
-    # timers (otherwise this test would pass vacuously).
-    unsalted = run_bittorrent(
-        perceived_leaf=PROFILE, tdf=1, leechers=4,
-        file_bytes=128 * 1024, seed=99, delay_salt=1e-6,
-    )
-    assert single.events_processed != unsalted.events_processed
-
-
 def test_shards_one_is_the_plain_engine():
     kwargs = dict(perceived_leaf=PROFILE, tdf=1, leechers=2,
                   file_bytes=64 * 1024, seed=7)
@@ -165,3 +145,16 @@ def test_swarm_needs_enough_leechers_for_the_stripe():
             perceived_leaf=PROFILE, tdf=1, leechers=1,
             file_bytes=64 * 1024, seed=7, shards=3,
         )
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_worker_configuration_error_reaches_the_caller_unchanged(shards):
+    """A bad argument only a cell can check is refused with the same
+    one-line ConfigurationError at every shard count, not rewrapped as a
+    worker traceback."""
+    with pytest.raises(ConfigurationError) as refused:
+        run_bittorrent(
+            perceived_leaf=PROFILE, tdf=1, leechers=2,
+            file_bytes=64 * 1024, seed=7, piece_bytes=0, shards=shards,
+        )
+    assert str(refused.value) == "piece size must be positive"

@@ -11,7 +11,6 @@ from repro.simnet.impairments import (
     GilbertElliott,
     ImpairmentChain,
     ImpairmentSpec,
-    LinkFlap,
     Reorder,
 )
 from repro.simnet.link import Link
@@ -217,21 +216,6 @@ def test_corrupt_marks_packets_but_still_delivers_them():
     assert sink.deliveries[0][1].corrupted
 
 
-def test_link_flap_windows_drop_with_their_own_reason():
-    sim = Simulator()
-    a, b, link, sink = wire(sim, bandwidth=1e8)
-    flap = LinkFlap(sim, windows=[(0.010, 0.020)])
-    link.a_to_b.set_impairments(ImpairmentChain([flap]))
-    for t in (0.005, 0.012, 0.018, 0.025):
-        sim.call_at(t, a.send, packet())
-    sim.run()
-    assert len(sink.deliveries) == 2  # before and after the outage
-    assert link.a_to_b.drops == {"flap": 2}
-    assert flap.transitions == 2
-    with pytest.raises(ConfigurationError):
-        LinkFlap(sim, windows=[(0.5, 0.5)])
-
-
 def test_stages_compose_in_order():
     sim = Simulator()
     a, b, link, sink = wire(sim)
@@ -288,194 +272,36 @@ def test_spec_parse_round_trip():
     assert spec.rate == 0.02
     assert spec.burst == 5.0
     assert spec.seed == 9
-    flap = ImpairmentSpec.parse("flap:windows=1.0-1.5/3.0-3.25")
-    assert flap.windows == ((1.0, 1.5), (3.0, 3.25))
     with pytest.raises(ConfigurationError):
         ImpairmentSpec.parse("bernoulli:frobnicate=1")
 
 
 def test_spec_build_scales_time_knobs_by_tdf():
-    sim = Simulator()
     reorder = ImpairmentSpec(kind="reorder", rate=0.5, hold_s=0.002)
-    assert reorder.build(sim, tdf=1).stages[0].hold_s == pytest.approx(0.002)
-    assert reorder.build(sim, tdf=10).stages[0].hold_s == pytest.approx(0.020)
+    assert reorder.build(tdf=1).stages[0].hold_s == pytest.approx(0.002)
+    assert reorder.build(tdf=10).stages[0].hold_s == pytest.approx(0.020)
     # Probability knobs are per-packet and must NOT scale.
     bern = ImpairmentSpec(kind="bernoulli", rate=0.01)
-    assert bern.build(sim, tdf=10).stages[0].rate == 0.01
+    assert bern.build(tdf=10).stages[0].rate == 0.01
 
 
 def test_spec_build_produces_independent_rng_state_per_chain():
-    sim = Simulator()
     spec = ImpairmentSpec(kind="bernoulli", rate=0.5, seed=4)
-    one = spec.build(sim).stages[0]
-    two = spec.build(sim).stages[0]
+    one = spec.build().stages[0]
+    two = spec.build().stages[0]
     assert _drive(one, 100) == _drive(two, 100)  # fresh, identical streams
-
-
-# ------------------------------------------------- stage lifecycle hooks
-
-
-def test_link_flap_arms_no_timers_until_attached():
-    """Building a flap must not touch the engine: timers are armed on
-    first attach and cancelled when the last attachment is removed, so an
-    uninstalled chain leaks no events and does not skew pending()."""
-    sim = Simulator()
-    a, b, link, sink = wire(sim, bandwidth=1e8)
-    before = sim.pending()
-    flap = LinkFlap(sim, windows=[(0.010, 0.020), (0.030, 0.040)])
-    chain = ImpairmentChain([flap])
-    assert sim.pending() == before  # construction armed nothing
-    link.a_to_b.set_impairments(chain)
-    assert sim.pending() == before + 4  # one timer per window edge
-    link.a_to_b.set_impairments(None)
-    # Detach cancelled every armed timer: the engine drains with no
-    # transitions and the stage never fires.
-    sim.run()
-    assert flap.transitions == 0
-
-
-def test_link_flap_detach_cancels_future_windows_mid_run():
-    sim = Simulator()
-    a, b, link, sink = wire(sim, bandwidth=1e8)
-    flap = LinkFlap(sim, windows=[(0.010, 0.020), (0.030, 0.040)])
-    link.a_to_b.set_impairments(ImpairmentChain([flap]))
-    # Swap the chain out after the first window has begun.
-    sim.call_at(0.015, link.a_to_b.set_impairments, None)
-    sim.call_at(0.035, a.send, packet())
-    sim.run()
-    # Only the first down edge fired; the up edge and second window were
-    # cancelled, and the (detached) stage no longer filters traffic.
-    assert flap.transitions == 1
-    assert len(sink.deliveries) == 1
-
-
-def test_link_flap_reattach_rearms_remaining_edges():
-    sim = Simulator()
-    a, b, link, sink = wire(sim, bandwidth=1e8)
-    flap = LinkFlap(sim, windows=[(0.010, 0.020)])
-    chain = ImpairmentChain([flap])
-    link.a_to_b.set_impairments(chain)
-    link.a_to_b.set_impairments(None)
-    link.a_to_b.set_impairments(chain)  # re-attach before any edge
-    sim.call_at(0.015, a.send, packet())
-    sim.run()
-    assert flap.transitions == 2
-    assert link.a_to_b.drops == {"flap": 1}
-
-
-# ------------------------------------------------------------- handover
-
-
-def test_handover_outage_then_delay_step():
-    from repro.simnet.impairments import Handover
-
-    sim = Simulator()
-    a, b, link, sink = wire(sim, bandwidth=1e8, delay=0.010)
-    handover = Handover(sim, times=[0.050], outage_s=0.010,
-                        delays=[0.002])
-    link.a_to_b.set_impairments(ImpairmentChain([handover]))
-    sim.call_at(0.055, a.send, packet())  # during the outage: dropped
-    sim.call_at(0.070, a.send, packet())  # after re-acquire: short delay
-    sim.run()
-    assert handover.handovers == 1
-    assert link.a_to_b.drops == {"handover": 1}
-    assert link.a_to_b.delay_s == 0.002
-    assert len(sink.deliveries) == 1
-    t, _ = sink.deliveries[0]
-    assert t == pytest.approx(0.070 + 1250 * 8 / 1e8 + 0.002)
-
-
-def test_handover_reorder_burst_holds_first_packets():
-    from repro.simnet.impairments import Handover
-
-    sim = Simulator()
-    a, b, link, sink = wire(sim, bandwidth=1e8, delay=0.001)
-    handover = Handover(sim, times=[0.010], outage_s=0.005,
-                        burst=2, hold_s=0.004)
-    link.a_to_b.set_impairments(ImpairmentChain([handover]))
-    for t in (0.016, 0.0165, 0.017):
-        sim.call_at(t, a.send, packet())
-    sim.run()
-    # First two post-acquisition packets were held 4 ms; the third sailed
-    # through and arrives first — the handover's reorder burst.
-    assert len(sink.deliveries) == 3
-    uids = [p.uid for _, p in sink.deliveries]
-    assert uids[0] == max(uids)
-
-
-def test_handover_single_attachment_point_enforced():
-    from repro.simnet.impairments import Handover
-
-    sim = Simulator()
-    a, b, link, sink = wire(sim)
-    handover = Handover(sim, times=[1.0], outage_s=0.1)
-    link.a_to_b.set_impairments(ImpairmentChain([handover]))
-    with pytest.raises(ConfigurationError, match="one"):
-        link.b_to_a.set_impairments(ImpairmentChain([handover]))
-
-
-def test_handover_detach_cancels_timers():
-    from repro.simnet.impairments import Handover
-
-    sim = Simulator()
-    a, b, link, sink = wire(sim, delay=0.010)
-    handover = Handover(sim, times=[0.050, 0.100], outage_s=0.010,
-                        delays=[0.001])
-    link.a_to_b.set_impairments(ImpairmentChain([handover]))
-    sim.call_at(0.020, link.a_to_b.set_impairments, None)
-    sim.run()
-    assert handover.handovers == 0
-    assert link.a_to_b.delay_s == 0.010  # never stepped
-
-
-def test_handover_validation():
-    from repro.simnet.impairments import Handover
-
-    sim = Simulator()
-    with pytest.raises(ConfigurationError):
-        Handover(sim, times=[1.0, 1.0], outage_s=0.1)
-    with pytest.raises(ConfigurationError):
-        Handover(sim, times=[1.0], outage_s=0.0)
-    with pytest.raises(ConfigurationError):
-        Handover(sim, times=[1.0], outage_s=0.1, delays=[-0.1])
-    with pytest.raises(ConfigurationError):
-        Handover(sim, times=[1.0], outage_s=0.1, hold_s=-0.1)
-
-
-def test_handover_spec_parse_build_and_tdf_scaling():
-    sim = Simulator()
-    spec = ImpairmentSpec.parse(
-        "handover:every=2.0,count=3,outage=0.05,delays=0.03+0.05,hold=0.004"
-    )
-    assert spec.kind == "handover"
-    assert spec.every_s == 2.0
-    assert spec.count == 3
-    assert spec.delays == (0.03, 0.05)
-    stage = spec.build(sim, tdf=10).stages[0]
-    assert stage.times == (20.0, 40.0, 60.0)
-    assert stage.outage_s == pytest.approx(0.5)
-    assert stage.delays == (pytest.approx(0.3), pytest.approx(0.5))
-    assert stage.hold_s == pytest.approx(0.04)
-    with pytest.raises(ConfigurationError):
-        ImpairmentSpec.parse("handover:every=0")
-    with pytest.raises(ConfigurationError):
-        ImpairmentSpec.parse("handover:every=1.0,outage=2.0")
 
 
 # ------------------------------------------------- non-finite parameters
 #
-# Each of these used to be accepted: a NaN hold or window edge failed
-# every ``<`` check and slipped through, and an infinite one reached the
-# engine heap.
+# Each of these used to be accepted: a NaN hold failed every ``<`` check
+# and slipped through, and an infinite one reached the engine heap.
 
 
 @pytest.mark.parametrize("text", [
     "reorder:rate=0.1,hold=nan",
     "reorder:rate=0.1,hold=inf",
-    "flap:windows=nan-1",
-    "flap:windows=1-inf",
     "bernoulli:rate=nan",
-    "handover:every=2.0,count=3,outage=0.05,delays=0.03+inf",
 ])
 def test_spec_refuses_non_finite_values(text):
     with pytest.raises(ConfigurationError):
@@ -486,28 +312,3 @@ def test_spec_refuses_non_finite_values(text):
 def test_reorder_refuses_non_finite_hold(hold_s):
     with pytest.raises(ConfigurationError):
         Reorder(0.1, hold_s=hold_s)
-
-
-@pytest.mark.parametrize("window", [
-    (float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf")),
-    (float("-inf"), 1.0),
-])
-def test_link_flap_refuses_non_finite_window(window):
-    with pytest.raises(ConfigurationError):
-        LinkFlap(Simulator(), [window])
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(times=[float("nan")], outage_s=0.1),
-    dict(times=[1.0, float("inf")], outage_s=0.1),
-    dict(times=[1.0], outage_s=float("nan")),
-    dict(times=[1.0], outage_s=float("inf")),
-    dict(times=[1.0], outage_s=0.1, hold_s=float("nan")),
-    dict(times=[1.0], outage_s=0.1, delays=[float("inf")]),
-    dict(times=[1.0], outage_s=0.1, delays=[float("nan")]),
-])
-def test_handover_refuses_non_finite_values(kwargs):
-    from repro.simnet.impairments import Handover
-
-    with pytest.raises(ConfigurationError):
-        Handover(Simulator(), **kwargs)

@@ -124,6 +124,24 @@ def test_schedule_validation():
         LinkSchedule(sim, link, [ScheduleEntry(0.5, delay_s=0.01)])
 
 
+@pytest.mark.parametrize("entry", [
+    ScheduleEntry(float("nan")),
+    ScheduleEntry(float("inf")),
+    ScheduleEntry(1.0, delay_s=float("nan")),
+    ScheduleEntry(1.0, delay_s=float("inf")),
+    ScheduleEntry(1.0, bandwidth_bps=float("nan")),
+    ScheduleEntry(1.0, bandwidth_bps=float("inf")),
+], ids=["at-nan", "at-inf", "delay-nan", "delay-inf", "bandwidth-nan",
+        "bandwidth-inf"])
+def test_schedule_refuses_non_finite_entries(entry):
+    """Every guard fails on NaN, so no NaN or inf reaches the heap or an
+    interface."""
+    sim = Simulator()
+    a, b, link, _ = wire(sim)
+    with pytest.raises(ConfigurationError):
+        LinkSchedule(sim, link, [entry])
+
+
 def test_second_schedule_on_same_link_refused():
     sim = Simulator()
     a, b, link, _ = wire(sim)
@@ -258,6 +276,24 @@ def test_load_trace_rejects_bad_rows(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ConfigurationError, match="no entries"):
         load_trace(str(empty))
+
+
+def test_csv_handover_rows_drop_then_step_the_delay(tmp_path):
+    """A handover as csv rows: the link goes dark, then comes back with a
+    shorter one-way delay on both directions."""
+    path = tmp_path / "handover.csv"
+    path.write_text("0.050,,,0\n0.060,0.002,,1\n")
+    sim = Simulator()
+    a, b, link, sink = wire(sim, bandwidth=1e8, delay=0.010)
+    ScheduleSpec.parse(f"csv:path={path}").build(link)
+    sim.call_at(0.055, a.send, packet())  # during the outage: dropped
+    sim.call_at(0.070, a.send, packet())  # after re-acquiring: 2 ms
+    sim.run()
+    assert link.a_to_b.drops == {"down": 1}
+    assert link.a_to_b.delay_s == link.b_to_a.delay_s == 0.002
+    assert len(sink.deliveries) == 1
+    t, _ = sink.deliveries[0]
+    assert t == pytest.approx(0.070 + 1250 * 8 / 1e8 + 0.002)
 
 
 # --------------------------------------------------------- LEO synthesis

@@ -55,6 +55,29 @@ def test_schedule_spec_names_a_non_numeric_value():
 def test_schedule_spec_checks_csv_path_at_parse():
     with pytest.raises(ConfigurationError, match="/nonexistent.csv"):
         ScheduleSpec.parse("csv:path=/nonexistent.csv")
+    # The constructor is the check, not parse alone.
+    with pytest.raises(ConfigurationError, match="/nonexistent"):
+        ScheduleSpec(kind="csv", path="/nonexistent")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,0.01\n0.5,0.02\n",
+     "schedule times must be strictly increasing: 1.0 then 0.5"),
+    ("0.5,0.01\n0.5,0.02\n",
+     "schedule times must be strictly increasing: 0.5 then 0.5"),
+    ("-1.0,0.01\n", "schedule times must be finite and non-negative"),
+    ("0.5,-0.01\n", "scheduled delay must be non-negative: -0.01"),
+    ("0.5,0.01,0\n", "scheduled bandwidth must be positive: 0.0"),
+], ids=["backwards", "repeated", "negative-time", "negative-delay",
+        "zero-bandwidth"])
+def test_schedule_spec_checks_csv_rows_when_constructed(tmp_path, rows,
+                                                        message):
+    """A trace no link could follow is refused where the spec is made,
+    by the same check a LinkSchedule applies, not inside a cell."""
+    path = _write(tmp_path, rows)
+    with pytest.raises(ConfigurationError) as refused:
+        ScheduleSpec.parse(f"csv:path={path}")
+    assert message in str(refused.value)
 
 
 def test_impairment_spec_names_a_non_numeric_value():
@@ -71,9 +94,10 @@ def test_impairment_spec_names_a_non_numeric_value():
     ("reorder:rate=0.1,hold=-1", "hold_s must be finite and non-negative"),
     ("duplicate:rate=1.5", "duplicate rate must be in [0, 1]: 1.5"),
     ("corrupt:rate=2", "corrupt rate must be in [0, 1]: 2.0"),
-    ("flap:windows=2-1", "flap window must be finite with up_at > down_at"),
-    ("handover:every=2,count=2,outage=0.05,delays=-0.01",
-     "delays must be finite and non-negative"),
+    # Outages and delay steps are link schedules (--schedule), not
+    # impairment kinds.
+    ("flap:windows=1-2", "unknown impairment kind 'flap'"),
+    ("handover:every=1,count=1", "unknown impairment kind 'handover'"),
 ])
 def test_impairment_spec_range_checked_at_parse(text, message):
     with pytest.raises(ConfigurationError) as refused:
@@ -85,8 +109,6 @@ def test_impairment_spec_range_checked_at_parse(text, message):
     "bernoulli:rate=0.01,seed=7",
     "gilbert:rate=0.01,burst=4",
     "reorder:rate=0.05,hold=0.002",
-    "flap:windows=1.0-1.5/3.0-3.2",
-    "handover:every=2.0,count=3,outage=0.05,delays=0.03+0.05,hold=0.004",
 ])
 def test_impairment_spec_docstring_examples_parse(text):
     with profiled() as profiler:
@@ -150,10 +172,8 @@ def test_trace_spec_grammar_fuzz(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_specs(["bernoulli", "gilbert", "reorder", "duplicate", "corrupt",
-               "flap", "handover"],
-              ["rate", "burst", "hold", "seed", "every", "count", "outage",
-               "delays", "windows"]))
+@given(_specs(["bernoulli", "gilbert", "reorder", "duplicate", "corrupt"],
+              ["rate", "burst", "hold", "seed"]))
 def test_impairment_spec_grammar_fuzz(text):
     _parses_or_refuses(ImpairmentSpec.parse, text)
 

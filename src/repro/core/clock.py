@@ -80,7 +80,7 @@ class DilatedClock(Clock):
         search, with the same float operations in the same order.
         """
         return (self._virtual_epoch
-                + (self.sim.now - self._physical_epoch) / self._rate)
+                + (self.sim._now - self._physical_epoch) / self._rate)
 
     def to_local(self, physical_time: float) -> float:
         """Map physical → virtual using the epoch in effect at that instant."""
@@ -150,7 +150,7 @@ class DilatedClock(Clock):
         """
         if not delay >= 0:  # also refuses NaN
             raise SchedulingError(f"negative or NaN virtual delay: {delay}")
-        event.reschedule(self.sim.now + delay * self._rate)
+        event.reschedule(self.sim._now + delay * self._rate)
         return event
 
     # ------------------------------------------------------------- dynamic TDF

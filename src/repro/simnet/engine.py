@@ -38,11 +38,20 @@ transient (fire-and-forget) callback has no Event: its entry is
 calls ``fn(*args)`` straight from it. Cancellation and rescheduling are
 *lazy*: the heap entry of an Event stays behind and is recognised as dead
 because its ``seq`` no longer matches the event's current ``seq`` (cancel
-sets the event's seq to -1; reschedule re-keys it). A live-event
-counter makes :meth:`Simulator.pending` O(1), and when dead entries
-outnumber live ones the heap is compacted in one O(n) pass — without
-this, workloads that cancel a timer per ACK (TCP does) grow the heap
-without bound and every push/pop pays an inflated log n.
+sets the event's seq to -1; reschedule re-keys it). The simulator counts
+the *dead* entries, not the live events: only a cancel or a re-key of a
+pending event adds one, and only reaping one takes one away, so
+scheduling and dispatching a live event touch no counter at all, and
+:meth:`Simulator.pending` is ``len(heap) - dead``, still O(1). When dead
+entries outnumber live ones the heap is compacted in one O(n) pass —
+without this, workloads that cancel a timer per ACK (TCP does) grow the
+heap without bound and every push/pop pays an inflated log n.
+
+The run loop pops first and looks second. A transient entry is the
+common case and is tested for first; a dead entry is dropped; a live
+one due after ``until``, or beyond the event budget, is pushed back.
+Keys are unique, so pushing back the entry just popped leaves the order
+of everything still queued exactly as it was.
 """
 
 from __future__ import annotations
@@ -51,6 +60,9 @@ import heapq
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import SchedulingError
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 __all__ = ["Event", "Simulator"]
 
@@ -112,8 +124,8 @@ class Event:
         self.cancelled = False
         self.tie_key = tie_key
         self._sim = sim
-        #: True while the event is queued and will fire (the simulator's
-        #: live counter includes it).
+        #: True while the event is queued and will fire: its current heap
+        #: entry is live, so cancelling or re-keying it makes one dead.
         self._live = True
 
     @property
@@ -132,11 +144,10 @@ class Event:
             self.cancelled = True
             self.seq = -1
             sim = self._sim
-            sim._live -= 1
-            if (
-                len(sim._queue) - sim._live
-                > max(_COMPACT_MIN_DEAD, sim._live)
-            ):
+            dead = sim._dead + 1
+            sim._dead = dead
+            # Dead entries outnumber live ones (and the floor is passed).
+            if dead > _COMPACT_MIN_DEAD and dead + dead > len(sim._queue):
                 sim._compact()
 
     def reschedule(self, time: float) -> None:
@@ -156,18 +167,21 @@ class Event:
             raise SchedulingError(
                 f"cannot reschedule at {time}; current time is {sim._now}"
             )
-        if not self._live:
+        if self._live:
+            # The pending heap entry (old seq) becomes garbage below.
+            sim._dead += 1
+        else:
             self._live = True
             self.cancelled = False
-            sim._live += 1
-        # else: the stale heap entry (old seq) becomes garbage below.
         self.time = time
         self.seq = seq = sim._seq
         sim._seq = seq + 1
-        tie_key = self.tie_key
-        rank = sim._now if tie_key is None else tie_key
-        heapq.heappush(sim._queue, (time, rank, seq, self))
-        if len(sim._queue) - sim._live > max(_COMPACT_MIN_DEAD, sim._live):
+        _heappush(sim._queue, (
+            time, sim._now if self.tie_key is None else self.tie_key, seq, self,
+        ))
+        # Dead entries outnumber live ones (and the floor is passed).
+        if (sim._dead > _COMPACT_MIN_DEAD
+                and sim._dead + sim._dead > len(sim._queue)):
             sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -196,7 +210,9 @@ class Simulator:
         self._now = 0.0
         self._queue: List[tuple] = []
         self._seq = 0
-        self._live = 0
+        #: Heap entries that will never fire (cancelled or re-keyed
+        #: events); every other entry is live.
+        self._dead = 0
         self._running = False
         self._stopped = False
         #: Number of events executed so far (observability / debugging);
@@ -284,9 +300,8 @@ class Simulator:
                 )
             event = Event(time, seq, fn, args, self, tie_key)
             rank = tie_key
-        self._live += 1
         queue = self._queue
-        heapq.heappush(queue, (time, rank, seq, event))
+        _heappush(queue, (time, rank, seq, event))
         if len(queue) > self.max_heap_len:
             self.max_heap_len = len(queue)
         return event
@@ -306,15 +321,14 @@ class Simulator:
         if not 0 <= delay < _INF:  # also refuses NaN
             raise SchedulingError(f"negative or non-finite delay: {delay}")
         # Not delegated to schedule_transient_at: both are public entry
-        # points that instrumentation may wrap independently.
-        now = self._now
+        # points that instrumentation may wrap independently. Attributes
+        # read twice are read twice: a local costs more than it saves.
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        queue = self._queue
-        heapq.heappush(queue, (now + delay, now, seq, None, fn, args))
-        if len(queue) > self.max_heap_len:
-            self.max_heap_len = len(queue)
+        _heappush(self._queue,
+                  (self._now + delay, self._now, seq, None, fn, args))
+        if len(self._queue) > self.max_heap_len:
+            self.max_heap_len = len(self._queue)
 
     def schedule_transient_at(
         self, time: float, fn: Callable[..., None], *args: Any
@@ -329,18 +343,15 @@ class Simulator:
         a delay-form transient, so ``schedule_transient_at(now + d)``
         and ``schedule_transient(d)`` produce bit-identical heap entries.
         """
-        now = self._now
-        if not now <= time < _INF:  # also refuses NaN
+        if not self._now <= time < _INF:  # also refuses NaN
             raise SchedulingError(
-                f"cannot schedule at {time}; current time is {now}"
+                f"cannot schedule at {time}; current time is {self._now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        queue = self._queue
-        heapq.heappush(queue, (time, now, seq, None, fn, args))
-        if len(queue) > self.max_heap_len:
-            self.max_heap_len = len(queue)
+        _heappush(self._queue, (time, self._now, seq, None, fn, args))
+        if len(self._queue) > self.max_heap_len:
+            self.max_heap_len = len(self._queue)
 
     # --------------------------------------------------------------- main loop
 
@@ -373,41 +384,50 @@ class Simulator:
         # Bind hot attributes to locals: the loop body below runs once per
         # event and attribute lookups dominate at this altitude.
         queue = self._queue
-        heappop = heapq.heappop
+        heappop = _heappop
         profiler = self._profiler
         recorder = self._recorder
+        observed = profiler is not None or recorder is not None
         try:
             while queue and not self._stopped:
-                entry = queue[0]
+                entry = heappop(queue)
                 event = entry[3]
-                if event is not None and entry[2] != event.seq:
+                if event is None:
+                    time = entry[0]
+                    if time > limit or executed >= budget:
+                        break
+                    self._now = time
+                    entry[4](*entry[5])
+                elif entry[2] == event.seq:
+                    time = entry[0]
+                    if time > limit or executed >= budget:
+                        break
+                    self._now = time
+                    event._live = False
+                    event.fn(*event.args)
+                else:
                     # Dead entry: cancelled or re-keyed by reschedule().
-                    heappop(queue)
+                    self._dead -= 1
                     self.dead_entries_reaped += 1
                     continue
-                time = entry[0]
-                if time > limit:
-                    break
-                if executed >= budget:
+                executed += 1
+                if observed:
+                    fn = entry[4] if event is None else event.fn
+                    if profiler is not None:
+                        profiler._record(fn)
+                    if recorder is not None:
+                        recorder.record_timer(time, fn)
+            else:
+                entry = None
+            if entry is not None:
+                # Popped but due after ``until`` or beyond the budget: put
+                # it back where it was (keys are unique).
+                _heappush(queue, entry)
+                if entry[0] <= limit:
                     raise SchedulingError(
                         f"exceeded max_events={max_events} at t={self._now}; "
                         "runaway simulation?"
                     )
-                heappop(queue)
-                self._now = time
-                self._live -= 1
-                if event is None:
-                    fn = entry[4]
-                    fn(*entry[5])
-                else:
-                    event._live = False
-                    fn = event.fn
-                    fn(*event.args)
-                executed += 1
-                if profiler is not None:
-                    profiler._record(fn)
-                if recorder is not None:
-                    recorder.record_timer(time, fn)
             if until is not None and not self._stopped and self._now < until:
                 self._now = until
         finally:
@@ -422,7 +442,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued — O(1)."""
-        return self._live
+        return len(self._queue) - self._dead
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None`` if the queue is empty.
@@ -453,8 +473,9 @@ class Simulator:
             if event is None or entry[2] == event.seq:
                 result = entry[0]
                 break
-            heapq.heappop(queue)
+            _heappop(queue)
             reaped += 1
+        self._dead -= reaped
         self.dead_entries_reaped += reaped
         return result
 
@@ -477,6 +498,7 @@ class Simulator:
             if entry[3] is None or entry[2] == entry[3].seq
         ]
         heapq.heapify(queue)
+        self._dead = 0
         self.compactions += 1
         self.dead_entries_reaped += before - len(queue)
 

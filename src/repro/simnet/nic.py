@@ -18,6 +18,7 @@ the guests' perception of it changes.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
@@ -50,13 +51,20 @@ class Interface:
         jitter_s: float = 0.0,
         jitter_rng: Optional["random.Random"] = None,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ConfigurationError(f"bandwidth must be positive: {bandwidth_bps}")
-        if delay_s < 0:
-            raise ConfigurationError(f"delay must be non-negative: {delay_s}")
-        if jitter_s < 0:
+        # The range rule a link schedule's entries follow, checked once
+        # here so a bad value never reaches the per-packet arithmetic;
+        # every guard is written so that NaN fails it.
+        if not 0 < bandwidth_bps < math.inf:
+            raise ConfigurationError(
+                f"bandwidth must be positive and finite: {bandwidth_bps}"
+            )
+        if not 0 <= delay_s < math.inf:
+            raise ConfigurationError(
+                f"delay must be non-negative and finite: {delay_s}"
+            )
+        if not 0 <= jitter_s:
             raise ConfigurationError(f"jitter must be non-negative: {jitter_s}")
-        if jitter_s > delay_s:
+        if not jitter_s <= delay_s:
             raise ConfigurationError(
                 "jitter may not exceed the base delay (it would need "
                 "negative propagation)"
@@ -74,12 +82,20 @@ class Interface:
         self.queue = queue if queue is not None else DropTailQueue()
         self.name = name or f"{node.name}-if"
         self.peer: Optional["Interface"] = None
+        #: The wire holds a packet (serialisation in progress).
         self._busy = False
+        #: A packet was queued behind the busy wire since the queue was
+        #: last found empty. While False the queue is known to be empty,
+        #: so a finished transmission idles the wire without polling it.
+        self._backlog = False
         self._taps: List[TapFn] = []
-        #: Optional :class:`repro.trace.recorder.FlightRecorder`. Default
-        #: off; each packet-event site pays one is-None check and nothing
-        #: else, so determinism pins and engine benchmarks are unchanged.
-        self.recorder = None
+        #: Optional :class:`repro.trace.recorder.FlightRecorder` (see the
+        #: ``recorder`` property). Default off.
+        self._recorder = None
+        #: True while a recorder or a tap is attached: each packet-event
+        #: site pays this one check and nothing else when both are off,
+        #: so determinism pins and engine benchmarks are unchanged.
+        self._observed = False
         #: Optional impairment pipeline (loss models, reordering,
         #: duplication, corruption); ``None`` costs one attribute
         #: check per packet and schedules no events.
@@ -113,6 +129,11 @@ class Interface:
         #: by the schedule on attach). Consulted by
         #: :meth:`fluid_transparent` and :meth:`min_delay_s`.
         self.schedule = None
+        #: The two per-packet engine callbacks, bound once: reading
+        #: ``self._finish_transmit`` as an argument builds a new bound
+        #: method object for every packet event.
+        self._finish_transmit_fn = self._finish_transmit
+        self._deliver_fn = self._deliver
         #: FIFO horizon: the latest arrival instant this direction has
         #: handed to the propagation pipe. A mid-run *decrease* of
         #: ``delay_s`` (a schedule step) must not
@@ -127,13 +148,31 @@ class Interface:
         self.peer = peer
         peer.peer = self
 
+    @property
+    def recorder(self):
+        """The attached flight recorder, or ``None``."""
+        return self._recorder
+
+    @recorder.setter
+    def recorder(self, recorder) -> None:
+        self._recorder = recorder
+        self._observed = recorder is not None or bool(self._taps)
+
     def add_tap(self, tap: TapFn) -> None:
         """Attach a trace tap; called on 'enqueue', 'tx', 'rx' and 'drop'."""
         self._taps.append(tap)
+        self._observed = True
+
+    def _observe(self, kind: str, packet: Packet) -> None:
+        """Report one packet event to the recorder, then to the taps."""
+        if self._recorder is not None:
+            self._recorder.record_packet(kind, self, packet)
+        if self._taps:
+            self._notify(kind, packet)
 
     def _notify(self, kind: str, packet: Packet) -> None:
         for tap in self._taps:
-            tap(kind, self.sim.now, packet)
+            tap(kind, self.sim._now, packet)
 
     def set_loss(self, loss_fn: Optional[Callable[[Packet], bool]]) -> None:
         """Drop every packet for which ``loss_fn(packet)`` is true.
@@ -172,7 +211,7 @@ class Interface:
             and self.egress_channel is None
             and self._impairments is None
             and not self._taps
-            and self.recorder is None
+            and self._recorder is None
             and self.jitter_s == 0
             and (self.schedule is None or not self.schedule.change_pending)
             and getattr(self.queue, "fluid_transparent", False)
@@ -214,23 +253,21 @@ class Interface:
         counters = self.sim.counters
         key = "drop." + reason
         counters[key] = counters.get(key, 0) + 1
-        if self.recorder is not None:
+        if self._recorder is not None:
             # Unlike taps, the recorder gets the taxonomy reason.
-            self.recorder.record_packet("drop", self, packet, reason)
+            self._recorder.record_packet("drop", self, packet, reason)
         self._notify("drop", packet)
 
     def send(self, packet: Packet) -> None:
         """Entry point for the node: queue the packet and kick the transmitter."""
         if self.peer is None:
             raise ConfigurationError(f"interface {self.name} is not connected")
-        if not self.up:
+        if self.up and self._impairments is None:
+            self._enqueue(packet)
+        elif not self.up:
             self._drop(packet, "down")
-            return
-        chain = self._impairments
-        if chain is not None:
-            chain.send_through(self, packet)
-            return
-        self._enqueue(packet)
+        else:
+            self._impairments.send_through(self, packet)
 
     def _enqueue(self, packet: Packet) -> None:
         """Post-impairment path: offer to the discipline, kick the wire.
@@ -238,78 +275,73 @@ class Interface:
         Held (reordered) packets re-enter here directly so a packet passes
         the impairment chain exactly once.
         """
-        queue = self.queue
-        if not queue.offer(packet):
+        if not self.queue.offer(packet):
             self._drop(packet, "queue")
             return
-        if self.recorder is not None:
-            self.recorder.record_packet("enqueue", self, packet)
-        if self._taps:
-            self._notify("enqueue", packet)
-        if not self._busy:
-            # Idle wire: the packet just accepted is the head. Its
-            # serialisation completion is computable up front, so one
-            # transient event (bound method + argument, no closure, no
-            # Event object) carries it to the end of the wire hold.
-            self._busy = True
-            packet = queue.poll()
-            self.sim.schedule_transient(
-                packet.size_bytes * 8.0 / self.bandwidth_bps,
-                self._finish_transmit,
-                packet,
-            )
+        if self._observed:
+            self._observe("enqueue", packet)
+        if self._busy:
+            self._backlog = True
+            return
+        # Idle wire: the packet just accepted is the head. Its
+        # serialisation completion is computable up front, so one
+        # transient event (bound method + argument, no closure, no
+        # Event object) carries it to the end of the wire hold.
+        self._busy = True
+        packet = self.queue.poll()
+        self.sim.schedule_transient(
+            packet.size_bytes * 8.0 / self.bandwidth_bps,
+            self._finish_transmit_fn,
+            packet,
+        )
 
     def _finish_transmit(self, packet: Packet) -> None:
         self.tx_bytes += packet.size_bytes
         self.tx_packets += 1
-        if self.recorder is not None:
-            self.recorder.record_packet("tx", self, packet)
-        if self._taps:
-            self._notify("tx", packet)
-        peer = self.peer
-        assert peer is not None  # checked in send()
-        delay = self.delay_s
-        if self.jitter_s > 0 and self._jitter_rng is not None:
+        if self._observed:
+            self._observe("tx", packet)
+        if self._jitter_rng is not None and self.jitter_s > 0:
             # Jitter reorders by design (netem semantics) — no clamp.
-            delay += self._jitter_rng.uniform(-self.jitter_s, self.jitter_s)
-            arrival = self.sim.now + delay
+            delay = self.delay_s + self._jitter_rng.uniform(
+                -self.jitter_s, self.jitter_s
+            )
+            arrival = self.sim._now + delay
         else:
             # FIFO per direction: clamp the arrival to the previous
             # packet's so a mid-run delay decrease cannot let this packet
             # overtake one still propagating (dummynet does the same).
             # Under a constant delay the clamp never binds, keeping the
             # static-path schedule bit-identical.
-            arrival = self.sim.now + delay
+            arrival = self.sim._now + self.delay_s
             if arrival < self._fifo_horizon_s:
                 arrival = self._fifo_horizon_s
             self._fifo_horizon_s = arrival
-        channel = self.egress_channel
-        if channel is not None:
+        if self.egress_channel is not None:
             # The peer lives in another shard: ship (arrival time, packet)
             # to its engine. Jitter/clamping happened above, sender-side,
             # so the arrival time is final and deterministic.
-            channel.send(arrival, packet)
+            self.egress_channel.send(arrival, packet)
         else:
-            self.sim.schedule_transient_at(arrival, peer._deliver, packet)
+            self.sim.schedule_transient_at(arrival, self.peer._deliver_fn, packet)
         # The delivery above is scheduled before the next wire hold, so
         # same-instant ties keep their order.
-        packet = self.queue.poll()
-        if packet is None:
-            self._busy = False
-            return
-        self.sim.schedule_transient(
-            packet.size_bytes * 8.0 / self.bandwidth_bps,
-            self._finish_transmit,
-            packet,
-        )
+        if self._backlog:
+            packet = self.queue.poll()
+            if packet is not None:
+                self.sim.schedule_transient(
+                    packet.size_bytes * 8.0 / self.bandwidth_bps,
+                    self._finish_transmit_fn,
+                    packet,
+                )
+                return
+            self._backlog = False
+        self._busy = False
 
     def _deliver(self, packet: Packet) -> None:
         self.rx_bytes += packet.size_bytes
         self.rx_packets += 1
-        if self.recorder is not None:
-            self.recorder.record_packet("rx", self, packet)
-        if self._taps:
-            self._notify("rx", packet)
+        if self._observed:
+            self._observe("rx", packet)
         self.node.receive(packet, self)
 
     def utilisation(self, elapsed_s: float) -> float:

@@ -82,14 +82,15 @@ class Node:
         raises; in-transit packets that lose their route (link failure) are
         dropped like a real router drops them.
         """
-        packet.created_at = self.sim.now
+        packet.created_at = self.sim._now
         if packet.dst == self.name:
             # Loopback: deliver without touching the wire.
             self.sim.schedule(0.0, self.receive, packet, None)
             return
-        interface = self.routes.get(packet.dst)
-        if interface is None:
-            raise RoutingError(f"{self.name}: no route to {packet.dst}")
+        try:
+            interface = self.routes[packet.dst]
+        except KeyError:
+            raise RoutingError(f"{self.name}: no route to {packet.dst}") from None
         interface.send(packet)
 
     def receive(
@@ -98,15 +99,23 @@ class Node:
         """Called by an interface when a packet arrives: hand it to the
         protocol registered for it, or forward it one hop closer."""
         if packet.dst == self.name:
-            handler = self._protocols.get(packet.protocol)
-            if handler is None:
+            try:
+                handler = self._protocols[packet.protocol]
+            except KeyError:
                 self.unhandled_packets += 1
                 return
             handler.deliver(packet)
             return
-        packet.hop()
-        interface = self.routes.get(packet.dst)
-        if interface is None:
+        # Packet.hop, inlined on the forwarding path; a packet on its
+        # last hop goes through hop() itself, which raises.
+        ttl = packet.ttl
+        if ttl > 1:
+            packet.ttl = ttl - 1
+        else:
+            packet.hop()
+        try:
+            interface = self.routes[packet.dst]
+        except KeyError:
             self.no_route_drops += 1
             return
         interface.send(packet)

@@ -100,7 +100,6 @@ class DropTailQueue:
         # The overflow test is inlined: offer() runs once per packet per
         # hop and the method-call indirection is measurable there.
         size = packet.size_bytes
-        stats = self.stats
         if (
             self.capacity_packets is not None
             and len(self._items) >= self.capacity_packets
@@ -108,13 +107,13 @@ class DropTailQueue:
             self.capacity_bytes is not None
             and self._bytes + size > self.capacity_bytes
         ):
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
+            self.stats.dropped_packets += 1
+            self.stats.dropped_bytes += size
             return False
         self._items.append(packet)
         self._bytes += size
-        stats.enqueued_packets += 1
-        stats.enqueued_bytes += size
+        self.stats.enqueued_packets += 1
+        self.stats.enqueued_bytes += size
         return True
 
     def poll(self) -> Optional[Packet]:

@@ -151,50 +151,68 @@ class ReceiveAssembler:
             pending = self._pending_messages.setdefault(offset, [])
             if not pending:
                 pending.append(message)
-        end = seq + length
         if length == 0:
             return False
-        if end <= self.rcv_nxt:
+        end = seq + length
+        rcv_nxt = self.rcv_nxt
+        if end <= rcv_nxt:
             self._flush_stale_messages()
             return False  # pure duplicate
-        start = max(seq, self.rcv_nxt)
-        if start > self.rcv_nxt:
-            self._insert_ooo(start, end)
+        if seq > rcv_nxt:
+            self._insert_ooo(seq, end)
             return False
-        # In-order (possibly overlapping) data: advance and absorb any
-        # out-of-order ranges that are now contiguous.
-        self._advance(end)
-        return True
-
-    def _advance(self, end: int) -> None:
-        new_next = max(self.rcv_nxt, end)
+        # In-order (possibly overlapping) data: advance past ``end`` and
+        # absorb any out-of-order ranges that are now contiguous.
         ooo = self._ooo
-        if ooo and ooo[0][0] <= new_next:
+        if ooo and ooo[0][0] <= end:
             # The held ranges are sorted and disjoint, so the ones the new
             # in-order point reaches are a prefix of the list.
             absorbed = 0
             for start, stop in ooo:
-                if start > new_next:
+                if start > end:
                     break
-                new_next = max(new_next, stop)
+                end = max(end, stop)
                 absorbed += 1
             del ooo[:absorbed]
             survivors = set(ooo)
             self._recent = [iv for iv in self._recent if iv in survivors]
-        delivered = new_next - self.rcv_nxt
-        self.rcv_nxt = new_next
+        delivered = end - rcv_nxt  # > 0: end passed rcv_nxt
+        self.rcv_nxt = end
         self.bytes_delivered += delivered
-        if delivered > 0 and self.on_data is not None:
+        if self.on_data is not None:
             self.on_data(delivered)
         if self._pending_messages:
             self._deliver_messages()
+        return True
 
     def _insert_ooo(self, start: int, end: int) -> None:
-        if end - start > self.window() + self.out_of_order_bytes:
+        span = end - start
+        window = self.window()
+        # The held bytes are summed only when the span alone passes the
+        # window (never, for a segment): the sum is O(held ranges).
+        if span > window and span > window + self.out_of_order_bytes:
             # Beyond what we advertised; a real stack would have trimmed at
             # the window edge. Trim here too.
             end = start + max(0, self.window())
             if end <= start:
+                return
+        ooo = self._ooo
+        if ooo:
+            last = ooo[-1]
+            lo, hi = last
+            if lo <= start <= hi:
+                # The common case behind a hole: the data extends (or
+                # repeats) the highest held range. The general merge below
+                # would give the same lists: the ranges under it are
+                # untouched, and the extended range, which holds the new
+                # data, moves to the front of the recency order.
+                grown = (lo, end if end > hi else hi)
+                ooo[-1] = grown
+                recent = self._recent
+                if recent[0] == last:
+                    recent[0] = grown
+                else:
+                    self._recent = [grown] + [iv for iv in recent if iv != last]
                 return
         intervals = self._ooo + [(start, end)]
         intervals.sort()

@@ -32,8 +32,11 @@ def segment_wire_bytes(length: int, sack_blocks: int = 0,
 
     The TCP header plus options plus ``length`` payload bytes. SACK blocks
     are charged as the real option is (2 + 8 per block); the timestamps
-    option costs :data:`TIMESTAMP_OPTION_BYTES`. Every size the stack puts
-    on the wire, and every size the fluid model predicts, comes from here.
+    option costs :data:`TIMESTAMP_OPTION_BYTES`. This is the definition of
+    every size the stack puts on the wire and the fluid model predicts;
+    the per-segment path (``TcpSocket._emit``) adds up the same terms
+    inline, and ``test_emitted_segment_and_packet_fields`` pins the two
+    to each other.
     """
     size = TCP_HEADER_BYTES + length
     if sack_blocks:

@@ -34,7 +34,8 @@ from .buffers import ReceiveAssembler, SendBuffer
 from .cc import make_congestion_control
 from .options import TcpOptions
 from .rtt import RttEstimator
-from .segment import Segment, segment_wire_bytes
+from .segment import (TCP_HEADER_BYTES, TIMESTAMP_OPTION_BYTES, Segment,
+                      segment_wire_bytes)
 
 __all__ = ["TcpSocket", "CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD",
            "ESTABLISHED", "FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT",
@@ -54,6 +55,10 @@ TIME_WAIT = "TIME_WAIT"
 
 #: Connection attempts / retransmissions before giving up (Linux: 15).
 MAX_RETRIES = 15
+
+#: IP plus TCP header bytes: the wire size of a segment with no payload
+#: and no options (see :func:`~repro.tcp.segment.segment_wire_bytes`).
+_TCP_IP_HEADER_BYTES = IP_HEADER_BYTES + TCP_HEADER_BYTES
 
 
 def _merge_interval(ranges, start, end):
@@ -415,34 +420,37 @@ class TcpSocket:
             return
         # Nothing below calls back into the application (sends are
         # scheduled, never delivered synchronously), so the congestion
-        # controller, the options and the stream length are fixed for the
-        # whole loop. Stream offset = seq - 1 (see _stream_offset).
-        cc = self.cc
+        # controller, the windows, snd_una, the options and the stream
+        # length are fixed for the whole loop; only snd_nxt moves.
+        # Stream offset = seq - 1 (see _stream_offset).
         mss = self.options.mss
         nagle = self.options.nagle
         stream_end = self.send_buffer.stream_length + 1
+        window = min(self.cc.cwnd, self.snd_wnd)
+        if self._pace_window is not None:
+            window = min(window, self._pace_window)
+        dupacks = self._dupacks
+        if (dupacks == 1 or dupacks == 2) and not self._in_recovery:
+            # Limited transmit (RFC 3042): the two early dupacks let us
+            # send one new segment each to keep the ACK clock running.
+            window += dupacks * mss
+        window = int(window)
+        snd_una = self.snd_una
+        snd_nxt = self.snd_nxt
         sent_any = False
         while True:
-            window = min(cc.cwnd, self.snd_wnd)
-            if self._pace_window is not None:
-                window = min(window, self._pace_window)
-            dupacks = self._dupacks
-            if (dupacks == 1 or dupacks == 2) and not self._in_recovery:
-                # Limited transmit (RFC 3042): the two early dupacks let us
-                # send one new segment each to keep the ACK clock running.
-                window += dupacks * mss
-            snd_nxt = self.snd_nxt
-            flight = snd_nxt - self.snd_una
             available = stream_end - snd_nxt
             if available > 0:
-                usable = int(window) - flight
+                flight = snd_nxt - snd_una
+                usable = window - flight
                 if usable <= 0:
                     break
                 chunk = min(available, mss, usable)
                 if nagle and chunk < mss and flight > 0:
                     break
                 self._emit_data(snd_nxt, chunk)
-                self.snd_nxt = snd_nxt + chunk
+                snd_nxt += chunk
+                self.snd_nxt = snd_nxt
                 sent_any = True
                 continue
             if (
@@ -451,7 +459,7 @@ class TcpSocket:
                 and snd_nxt == stream_end
                 # Our FIN is all that's left; window always admits it.
             ):
-                self._emit(seq=snd_nxt, fin=True, ack_flag=True)
+                self._emit(snd_nxt, 0, False, True)
                 self._fin_sent = True
                 self.snd_nxt = snd_nxt + 1
                 sent_any = True
@@ -484,38 +492,64 @@ class TcpSocket:
         messages: Optional[list] = None,
         retransmission: bool = False,
     ) -> None:
+        # Runs once per segment sent, so it calls no helpers: the
+        # cumulative ACK (_rcv_ack_value), the advertised window
+        # (ReceiveAssembler.window), the wire size (segment_wire_bytes),
+        # the send (_emit_raw) and the delayed-ACK disarm are inlined.
         options = self.options
         assembler = self.assembler
         sack_blocks = ()
-        if ack_flag and assembler._ooo and options.sack and not syn:
-            # Out-of-order stream ranges, shifted into sequence space.
-            sack_blocks = tuple(
-                (lo + 1, hi + 1) for lo, hi in assembler.sack_blocks()
-            )
-        cwr = False
-        if length > 0 and self._cwr_pending and options.ecn:
-            cwr = True
-            self._cwr_pending = False
-        timestamps = options.timestamps
+        size = _TCP_IP_HEADER_BYTES + length
+        if ack_flag:
+            rcv_nxt = assembler.rcv_nxt
+            ack = 1 + rcv_nxt
+            fin_stream = self._remote_fin_stream
+            if fin_stream is not None and rcv_nxt >= fin_stream:
+                ack += 1  # the FIN itself
+            if assembler._ooo and options.sack and not syn:
+                # Out-of-order stream ranges, shifted into sequence space.
+                sack_blocks = tuple(
+                    (lo + 1, hi + 1) for lo, hi in assembler.sack_blocks()
+                )
+                if sack_blocks:
+                    size += 2 + 8 * len(sack_blocks)
+        else:
+            ack = 0
+        if options.ecn:
+            cwr = length > 0 and self._cwr_pending
+            if cwr:
+                self._cwr_pending = False
+            ece = self._ecn_echo and ack_flag
+            # Only data packets are marked ECN-capable (RFC 3168 §6.1.1:
+            # pure ACKs are not ECT).
+            ect = length > 0
+        else:
+            cwr = ece = ect = False
+        if options.timestamps:
+            size += TIMESTAMP_OPTION_BYTES
+            ts_val = self.node.clock.now()
+            ts_ecr = self._ts_recent
+        else:
+            ts_val = ts_ecr = None
         # Positional in field order: matching sixteen keywords would cost
         # as much again as building the segment.
         segment = Segment(
             self.local_port,                                    # src_port
             self.remote_port,                                   # dst_port
             seq,                                                # seq
-            self._rcv_ack_value() if ack_flag else 0,           # ack
+            ack,                                                # ack
             length,                                             # length
             syn,                                                # syn
             fin,                                                # fin
             False,                                              # rst
             ack_flag,                                           # ack_flag
-            assembler.window(),                                 # window
+            assembler.buffer_size,                              # window
             messages if messages is not None else [],           # messages
             sack_blocks,                                        # sack
-            options.ecn and self._ecn_echo and ack_flag,        # ece
+            ece,                                                # ece
             cwr,                                                # cwr
-            self.node.clock.now() if timestamps else None,      # ts_val
-            self._ts_recent if timestamps else None,            # ts_ecr
+            ts_val,                                             # ts_val
+            ts_ecr,                                             # ts_ecr
         )
         if retransmission:
             self.retransmits += 1
@@ -532,32 +566,37 @@ class TcpSocket:
         end_seq = seq + length + syn + fin  # Segment.end_seq, inlined
         if end_seq > self._high_water:
             self._high_water = end_seq
-        self._emit_raw(
-            segment, segment_wire_bytes(length, len(sack_blocks), timestamps)
-        )
-        # Any segment carrying our current ACK satisfies the delayed-ACK duty.
-        if ack_flag:
-            self._ack_sent()
-
-    def _emit_raw(self, segment: Segment, wire_bytes: int) -> None:
-        """Send ``segment``, which occupies ``wire_bytes`` of IP payload."""
-        node = self.node
-        # Positional in field order, as in _emit.
-        packet = Packet(
-            node.name,                                          # src
+        self.segments_sent += 1
+        # Positional in field order, as above.
+        self.node.send(Packet(
+            self.node.name,                                     # src
             self.remote_addr,                                   # dst
             "tcp",                                              # protocol
-            IP_HEADER_BYTES + wire_bytes,                       # size_bytes
+            size,                                               # size_bytes
             segment,                                            # payload
             self.flow_id,                                       # flow_id
             DEFAULT_TTL,                                        # ttl
             0.0,                                                # created_at
-            # Only data packets are marked ECN-capable (RFC 3168 §6.1.1:
-            # pure ACKs are not ECT).
-            self.options.ecn and segment.length > 0,            # ecn_capable
-        )
+            ect,                                                # ecn_capable
+        ))
+        if ack_flag:
+            # Any segment carrying our current ACK satisfies the
+            # delayed-ACK duty. Disarm but keep the Event object: the next
+            # _schedule_ack revives it instead of allocating a fresh one.
+            self._segments_since_ack = 0
+            event = self._delack_event
+            if event is not None:
+                event.cancel()
+
+    def _emit_raw(self, segment: Segment, wire_bytes: int) -> None:
+        """Send ``segment``, which occupies ``wire_bytes`` of IP payload."""
+        node = self.node
         self.segments_sent += 1
-        node.send(packet)
+        node.send(Packet(
+            node.name, self.remote_addr, "tcp", IP_HEADER_BYTES + wire_bytes,
+            segment, self.flow_id, DEFAULT_TTL, 0.0,
+            self.options.ecn and segment.length > 0,
+        ))
 
     # ============================================================== timers: RTO
 
@@ -766,29 +805,23 @@ class TcpSocket:
 
     # ============================================================ delayed ACKs
 
-    def _ack_sent(self) -> None:
-        self._segments_since_ack = 0
-        # Disarm but keep the Event object: data segments satisfy the
-        # delayed-ACK duty constantly, and the next _schedule_ack revives
-        # the same event instead of allocating a fresh one.
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-
-    def _schedule_ack(self, immediate: bool) -> None:
-        if immediate or self.options.delayed_ack_timeout == 0:
+    def _schedule_ack(self) -> None:
+        """In-order data arrived: ACK it now, or arm the delayed ACK."""
+        options = self.options
+        timeout = options.delayed_ack_timeout
+        if timeout == 0:
             self._send_pure_ack()
             return
-        self._segments_since_ack += 1
-        if self._segments_since_ack >= self.options.ack_every:
+        pending = self._segments_since_ack + 1
+        self._segments_since_ack = pending
+        if pending >= options.ack_every:
             self._send_pure_ack()
             return
         event = self._delack_event
         if event is None:
-            self._delack_event = self.node.clock.call_in(
-                self.options.delayed_ack_timeout, self._on_delack
-            )
+            self._delack_event = self.node.clock.call_in(timeout, self._on_delack)
         elif not event.active:
-            self.node.clock.reschedule_in(event, self.options.delayed_ack_timeout)
+            self.node.clock.reschedule_in(event, timeout)
         # else: a delayed ACK is already pending; leave its deadline alone.
 
     def _on_delack(self) -> None:
@@ -796,7 +829,7 @@ class TcpSocket:
             self._send_pure_ack()
 
     def _send_pure_ack(self) -> None:
-        self._emit(seq=self.snd_nxt, ack_flag=True)
+        self._emit(self.snd_nxt)
 
     # ============================================================= segment input
 
@@ -878,8 +911,16 @@ class TcpSocket:
             return
         if segment.ack_flag:
             self._process_ack(segment)
-        if segment.length > 0 or segment.messages:
-            self._process_payload(segment)
+        length = segment.length
+        if length > 0 or segment.messages:
+            # Payload. RFC 5681: in-order data may be ACKed late;
+            # out-of-order or duplicate data elicits an immediate ACK.
+            if self.assembler.accept(segment.seq - 1, length, segment.messages):
+                self._schedule_ack()
+                if self._remote_fin_stream is not None:
+                    self._maybe_consume_fin()
+            else:
+                self._send_pure_ack()
         if segment.fin:
             self._process_fin(segment)
 
@@ -891,7 +932,7 @@ class TcpSocket:
             segment.ts_ecr if self.options.timestamps else None
         )
         # After a go-back-N rewind, valid ACKs may exceed snd_nxt.
-        if self.options.sack and segment.sack:
+        if segment.sack and self.options.sack:
             for lo, hi in segment.sack:
                 # Most blocks repeat ranges we already hold; skip them in
                 # O(log n) instead of paying the merge.
@@ -936,7 +977,8 @@ class TcpSocket:
         acked = ack - self.snd_una
         self.snd_una = ack
         # After a go-back-N rewind the receiver may ack past snd_nxt.
-        self.snd_nxt = max(self.snd_nxt, self.snd_una)
+        if ack > self.snd_nxt:
+            self.snd_nxt = ack
         if self._scoreboard:
             self._scoreboard = _trim_below(self._scoreboard, ack)
         if self._rexmit_marks:
@@ -1001,7 +1043,8 @@ class TcpSocket:
             # Stream bytes acked: sequence progress minus the SYN (and FIN).
             stream_acked = min(self.snd_una - 1, self.send_buffer.stream_length)
             self.on_acked(self, stream_acked)
-        self._after_ack_state_transitions(ack)
+        if self._fin_sent:
+            self._after_fin_acked(ack)
         self._try_send()
         fluid = self.node.sim.fluid
         if fluid is not None:
@@ -1047,9 +1090,9 @@ class TcpSocket:
         else:
             self._try_send()  # limited transmit may release a segment
 
-    def _after_ack_state_transitions(self, ack: int) -> None:
-        fin_acked = self._fin_sent and ack >= self._fin_seq() + 1
-        if not fin_acked:
+    def _after_fin_acked(self, ack: int) -> None:
+        """Our FIN is out: move on if ``ack`` covers it."""
+        if ack < self._fin_seq() + 1:
             return
         if self.state == FIN_WAIT_1:
             self._set_state(FIN_WAIT_2)
@@ -1059,15 +1102,6 @@ class TcpSocket:
             self._become_closed()
 
     # ---------------------------------------------------------------- payload
-
-    def _process_payload(self, segment: Segment) -> None:
-        offset = segment.seq - 1  # _stream_offset, inlined
-        advanced = self.assembler.accept(offset, segment.length, segment.messages)
-        # RFC 5681: out-of-order or duplicate data elicits an immediate ACK;
-        # in-order data may be delayed.
-        self._schedule_ack(immediate=not advanced)
-        if advanced and self._remote_fin_stream is not None:
-            self._maybe_consume_fin()
 
     def _deliver_data(self, n_bytes: int) -> None:
         if self.on_data is not None:

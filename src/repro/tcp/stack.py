@@ -148,11 +148,17 @@ class TcpStack:
         segment = packet.payload
         if not isinstance(segment, Segment):
             raise AddressError(f"non-TCP payload delivered to TcpStack: {packet!r}")
-        key = (segment.dst_port, packet.src, segment.src_port)
-        sock = self._connections.get(key)
-        if sock is not None:
-            sock.handle_segment(segment, ce=packet.ce)
+        try:
+            sock = self._connections[
+                (segment.dst_port, packet.src, segment.src_port)
+            ]
+        except KeyError:
+            self._no_connection(packet, segment)
             return
+        sock.handle_segment(segment, packet.ce)
+
+    def _no_connection(self, packet: Packet, segment: Segment) -> None:
+        """A segment no connection owns: a SYN for a listener, else RST."""
         listener = self._listeners.get(segment.dst_port)
         if listener is not None and segment.syn and not segment.ack_flag:
             self._accept(listener, packet, segment)

@@ -87,6 +87,18 @@ def test_validation(bad):
         build_scenario(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth", float("nan")),
+    ("bandwidth", float("inf")),
+    ("delay", float("nan")),
+    ("delay", float("inf")),
+])
+def test_non_finite_link_parameters_refused_at_build(field, value):
+    link = {"a": "x", "b": "y", "bandwidth": 1e6, "delay": 0.001, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        build_scenario({"links": [link]})
+
+
 def test_vm_lookup_for_undilated_node_raises():
     scenario = build_scenario({
         "links": [{"a": "x", "b": "y", "bandwidth": "1Mbps", "delay": "1ms"}],

@@ -149,6 +149,34 @@ def test_interface_validates_parameters():
         Interface(sim, node, 1e6, -1.0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+#: Link parameters outside the range a link schedule's entries must keep
+#: (0 < bandwidth < inf, 0 <= delay < inf, 0 <= jitter <= delay), NaN
+#: included: each is refused when the link is built, not at its first
+#: packet.
+BAD_LINK_PARAMETERS = [
+    pytest.param({name: value}, name.split("_")[0], id=f"{name}={value}")
+    for name, value in [
+        ("bandwidth_bps", NAN), ("bandwidth_bps", INF), ("bandwidth_bps", 0.0),
+        ("delay_s", NAN), ("delay_s", INF), ("delay_s", -0.001),
+        ("jitter_s", NAN), ("jitter_s", -0.001), ("jitter_s", 0.02),
+        ("bandwidth_reverse_bps", NAN), ("bandwidth_reverse_bps", INF),
+        ("delay_reverse_s", NAN), ("delay_reverse_s", INF),
+    ]
+]
+
+
+@pytest.mark.parametrize("override, what", BAD_LINK_PARAMETERS)
+def test_link_refuses_out_of_range_parameters(override, what):
+    sim = Simulator()
+    params = {"bandwidth_bps": 1e6, "delay_s": 0.01, **override}
+    with pytest.raises(ConfigurationError, match=what):
+        Link(sim, Node(sim, "a"), Node(sim, "b"), **params)
+    assert sim.pending() == 0
+
+
 def test_taps_see_all_event_kinds():
     sim = Simulator()
     a, b, link, _ = wire(

@@ -1,6 +1,6 @@
 """Swarm-scale benchmark: events/sec and wall-clock per swarm size.
 
-Two halves, both landing in ``BENCH_swarm.json`` at the repo root:
+Three parts, all landing in ``BENCH_swarm.json`` at the repo root:
 
 * **End-to-end pins** — the real ``run_bittorrent`` macro-benchmark at
   25/100/250 leechers, recording wall-clock, engine events, and
@@ -17,6 +17,14 @@ Two halves, both landing in ``BENCH_swarm.json`` at the repo root:
   gap is far larger. A port-allocation micro rides along: the seed
   ``allocate_port`` scanned the demux table per call.
 
+* **Per-connection memory** (report-only) — the 100-leecher swarm under
+  tracemalloc: peak traced bytes, the live bytes at the end of the run
+  (every connection is still open there, so that is where they peak)
+  split by layer, and the tcp layer's bytes per ``TcpSocket`` and the
+  apps layer's bytes per BitTorrent connection record. Time dilation
+  stretches bandwidth and CPU but not memory, so these bound how many
+  endpoints one host can emulate.
+
 The legacy classes below are faithful copies of the seed hot paths
 (docstrings trimmed) so the comparison never drifts as the live code
 evolves.
@@ -24,29 +32,40 @@ evolves.
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
 import random
 import time
+import tracemalloc
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional, Set
 
 from repro.apps.bittorrent.messages import (
     Bitfield,
+    Choke,
     Have,
     PieceData,
+    Request,
     Unchoke,
 )
 from repro.apps.bittorrent.metainfo import TorrentMeta
+from repro.apps.bittorrent import peer as peer_module
 from repro.apps.bittorrent.peer import Peer
 from repro.core.dilation import NetworkProfile
 from repro.harness.experiments import run_bittorrent
+from repro.simnet.engine import Simulator
 from repro.simnet.topology import Network
 from repro.simnet.units import mbps, ms
+from repro.tcp.socket import TcpSocket
 from repro.tcp.stack import EPHEMERAL_BASE, TcpStack
 from repro.udp.socket import UdpStack
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_swarm.json"
+SRC_ROOT = str(REPO_ROOT / "src") + "/"
+LEDGER = REPO_ROOT / "perfbench" / "ledger.py"
 
 #: Acceptance bar: the reworked hot paths must clear 2x the seed peer's
 #: ops/sec on the same message storm at 100+ connections.
@@ -118,8 +137,51 @@ def test_swarm_end_to_end_pins(bench_provenance):
 # --------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class LegacyConnection:
+    """The seed's per-neighbour record: piece state held in sets."""
+
+    socket: object
+    remote_name: Optional[str] = None
+    am_choking: bool = True
+    am_interested: bool = False
+    peer_choking: bool = True
+    peer_interested: bool = False
+    remote_have: Set[int] = field(default_factory=set)
+    outstanding: Set[int] = field(default_factory=set)
+    downloaded_window: int = 0
+    uploaded_window: int = 0
+    handshake_sent: bool = False
+
+
 class LegacyPeer(Peer):
     """The seed's message/selection/choking hot paths, verbatim."""
+
+    def _register(self, sock):
+        connection = LegacyConnection(socket=sock)
+        self._connections.append(connection)
+        self._by_socket[id(sock)] = connection
+        return connection
+
+    def _request(self, connection, piece):
+        connection.outstanding.add(piece)
+        self._pending[piece] = connection
+        self._pending_since[piece] = self.node.clock.now()
+        self._send(connection, Request(piece=piece))
+
+    def _retry_stalled(self):
+        now = self.node.clock.now()
+        stalled = [
+            piece for piece, since in self._pending_since.items()
+            if now - since > self.config.stall_timeout_s
+        ]
+        for piece in stalled:
+            holder = self._pending.get(piece)
+            if holder is not None:
+                holder.outstanding.discard(piece)
+            self._unpend(piece)
+        if stalled:
+            self._fill_pipelines()
 
     def _on_message(self, sock, message):
         connection = self._by_socket.get(id(sock))
@@ -132,6 +194,11 @@ class LegacyPeer(Peer):
             connection.remote_have.add(message.piece)
             self._update_interest(connection)
             self._fill_pipeline(connection)
+        elif isinstance(message, Choke):
+            connection.peer_choking = True
+            for piece in list(connection.outstanding):
+                self._unpend(piece)
+            connection.outstanding.clear()
         elif isinstance(message, Unchoke):
             connection.peer_choking = False
             self._fill_pipeline(connection)
@@ -413,3 +480,93 @@ def test_port_allocation_speedup(bench_provenance):
         "speedup": round(speedup, 2),
     }, bench_provenance(True))
     assert speedup >= REQUIRED_SPEEDUP
+
+
+# --------------------------------------------------------------------------
+# Per-connection memory at 100 leechers (report-only).
+# --------------------------------------------------------------------------
+
+
+def _layer_namer():
+    """Source file -> ledger layer name (``perfbench/ledger.py``'s map)."""
+    spec = importlib.util.spec_from_file_location("perfbench_ledger", LEDGER)
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    names = ledger.LAYERS + ("other",)
+
+    def layer(filename: str) -> str:
+        if not filename.startswith(SRC_ROOT):
+            return "other"
+        module = filename[len(SRC_ROOT):-len(".py")].replace("/", ".")
+        return names[ledger.layer_of_module(module)]
+
+    return layer
+
+
+def _live_bytes_by_layer(snapshot, layer) -> Dict[str, int]:
+    """Live traced bytes per layer of the allocating line.
+
+    A dataclass's generated ``__init__`` (``<string>``) builds its
+    default containers; those count for the line that called it.
+    """
+    totals: Dict[str, int] = {}
+    for trace in snapshot.traces:
+        frames = trace.traceback  # oldest frame first
+        frame = frames[-1]
+        if frame.filename == "<string>" and len(frames) > 1:
+            frame = frames[-2]
+        name = layer(frame.filename)
+        totals[name] = totals.get(name, 0) + trace.size
+    return dict(sorted(totals.items(), key=lambda item: -item[1]))
+
+
+def test_swarm_memory_per_connection(cpu_count):
+    leechers, file_bytes, piece_bytes = SWARM_SIZES[1]
+    end_of_run = {}
+    run = Simulator.run
+
+    def snapshot_on_return(sim, *args, **kwargs):
+        out = run(sim, *args, **kwargs)
+        end_of_run["peak"] = tracemalloc.get_traced_memory()[1]
+        end_of_run["snapshot"] = tracemalloc.take_snapshot()
+        return out
+
+    layer = _layer_namer()
+    Simulator.run = snapshot_on_return
+    gc.collect()
+    tracemalloc.start(2)
+    try:
+        result = run_bittorrent(
+            NetworkProfile.from_rtt(mbps(10), ms(20)), 1, leechers=leechers,
+            file_bytes=file_bytes, seed=4242, piece_bytes=piece_bytes,
+        )
+        live = gc.get_objects()
+        sockets = sum(1 for obj in live if type(obj) is TcpSocket)
+        connections = sum(1 for obj in live
+                          if type(obj) is peer_module._Connection)
+        del live
+    finally:
+        tracemalloc.stop()
+        Simulator.run = run
+    assert result.completed == leechers
+    by_layer = _live_bytes_by_layer(end_of_run["snapshot"], layer)
+    mib = 1 << 20
+    payload = {
+        "leechers": leechers,
+        "peak_traced_mib": round(end_of_run["peak"] / mib, 2),
+        "live_at_end_mib": {name: round(size / mib, 2)
+                            for name, size in by_layer.items()},
+        "tcp_sockets": sockets,
+        "connections": connections,
+        "tcp_bytes_per_socket": round(by_layer.get("tcp", 0) / sockets),
+        "apps_bytes_per_connection": round(
+            by_layer.get("apps", 0) / connections),
+    }
+    print(f"\nn={leechers}: peak traced {payload['peak_traced_mib']} MiB; "
+          f"{payload['tcp_bytes_per_socket']} B tcp per socket "
+          f"({sockets}), {payload['apps_bytes_per_connection']} B apps per "
+          f"connection ({connections}); live by layer "
+          f"{payload['live_at_end_mib']}")
+    # Report-only: no bar is asserted, so ``speedup_asserted`` (the
+    # other sections' stamp) is left as they wrote it.
+    _update_bench("memory", payload, {"cpu_count": cpu_count})

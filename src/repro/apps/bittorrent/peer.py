@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from ...core.timer import PeriodicTimer
 from ...simnet.node import Node
@@ -45,6 +45,14 @@ from .metainfo import TorrentMeta
 __all__ = ["Peer", "PeerConfig"]
 
 PEER_PORT = 6881
+
+
+def _pieces(bitfield: int) -> Iterator[int]:
+    """The piece numbers whose bits are set, lowest first."""
+    while bitfield:
+        low = bitfield & -bitfield
+        yield low.bit_length() - 1
+        bitfield ^= low
 
 
 @dataclass
@@ -78,12 +86,21 @@ class _Connection:
     am_interested: bool = False
     peer_choking: bool = True
     peer_interested: bool = False
-    remote_have: Set[int] = field(default_factory=set)
+    #: Pieces this neighbour holds, as a bitfield: bit ``i`` is piece ``i``
+    #: (the BITFIELD message's own encoding). An int costs 28 bytes where
+    #: a set costs 216 to 728, and every use is order-free: membership,
+    #: add, and the availability decrement when the connection drops.
+    remote_have: int = 0
     #: ``remote_have - peer.have``: the pieces this neighbour could give us,
     #: maintained incrementally so interest checks and rarest-first
-    #: candidate scans never re-walk the whole bitfield.
+    #: candidate scans never re-walk the whole bitfield. It stays a set:
+    #: its iteration order feeds the rarest-first pool that ``rng.choice``
+    #: draws from, so another encoding would change every download.
     interesting: Set[int] = field(default_factory=set)
-    outstanding: Set[int] = field(default_factory=set)
+    #: Pieces requested from this neighbour and not yet received, as a
+    #: bitfield like ``remote_have`` (add, discard, clear, count, and the
+    #: order-free ``_unpend`` of each when the neighbour chokes or drops).
+    outstanding: int = 0
     #: Bytes received from this neighbour since the last choke round.
     downloaded_window: int = 0
     #: Bytes sent to this neighbour since the last choke round.
@@ -272,14 +289,15 @@ class Peer:
             return
         if connection in self._connections:
             self._connections.remove(connection)
-            for piece in connection.remote_have:
-                self._avail[piece] -= 1
+            avail = self._avail
+            for piece in _pieces(connection.remote_have):
+                avail[piece] -= 1
         name = connection.remote_name
         if name is not None and self._by_name.get(name) is connection:
             del self._by_name[name]
         if self._optimistic is connection:
             self._optimistic = None
-        for piece in list(connection.outstanding):
+        for piece in _pieces(connection.outstanding):
             self._unpend(piece)
         self._fill_pipelines()
 
@@ -311,9 +329,9 @@ class Peer:
             connection.peer_interested = False
         elif isinstance(message, Choke):
             connection.peer_choking = True
-            for piece in list(connection.outstanding):
+            for piece in _pieces(connection.outstanding):
                 self._unpend(piece)
-            connection.outstanding.clear()
+            connection.outstanding = 0
         elif isinstance(message, Unchoke):
             connection.peer_choking = False
             self._fill_pipeline(connection)
@@ -334,23 +352,28 @@ class Peer:
         )
 
     def _on_piece(self, connection: _Connection, message: PieceData) -> None:
-        connection.outstanding.discard(message.piece)
+        piece = message.piece
+        connection.outstanding &= ~(1 << piece)
         connection.downloaded_window += message.length
         self.bytes_downloaded += message.length
-        self._unpend(message.piece)
-        piece = message.piece
+        self._unpend(piece)
         if piece in self.have:
             return  # duplicate (e.g. raced a re-request)
         self.have.add(piece)
         for other in self._connections:
-            # Have suppression, as real clients do: a neighbour that already
-            # holds the piece learns nothing from our Have, and at swarm
-            # scale the unsuppressed broadcast is an O(N^2 * pieces) storm.
-            if piece not in other.remote_have:
-                self._send(other, Have(piece=piece))
+            # ``interesting`` is ``remote_have - have`` and the piece was not
+            # ours until now, so it is in ``interesting`` exactly when the
+            # neighbour holds it: one set test instead of a bitfield test
+            # (which allocates an int per neighbour).
             if piece in other.interesting:
                 other.interesting.discard(piece)
                 self._update_interest(other)
+            else:
+                # Have suppression, as real clients do: a neighbour that
+                # already holds the piece learns nothing from our Have, and
+                # at swarm scale the unsuppressed broadcast is an
+                # O(N^2 * pieces) storm.
+                self._send(other, Have(piece=piece))
         if self.complete and self.completed_at is None:
             self.completed_at = self.node.clock.now()
             if self.on_complete is not None:
@@ -368,12 +391,14 @@ class Peer:
         avail = self._avail
         have = self.have
         for piece in pieces:
-            if piece in remote:
+            bit = 1 << piece
+            if remote & bit:
                 continue
-            remote.add(piece)
+            remote |= bit
             avail[piece] += 1
             if piece not in have:
                 interesting.add(piece)
+        connection.remote_have = remote
         self._update_interest(connection)
 
     def _needed_from(self, connection: _Connection) -> List[int]:
@@ -393,7 +418,7 @@ class Peer:
         if connection.peer_choking or not connection.interesting:
             return
         avail = self._avail
-        while len(connection.outstanding) < self.config.request_pipeline:
+        while connection.outstanding.bit_count() < self.config.request_pipeline:
             candidates = self._needed_from(connection)
             if not candidates:
                 return
@@ -408,7 +433,7 @@ class Peer:
             self._fill_pipeline(connection)
 
     def _request(self, connection: _Connection, piece: int) -> None:
-        connection.outstanding.add(piece)
+        connection.outstanding |= 1 << piece
         self._pending[piece] = connection
         self._pending_since[piece] = self.node.clock.now()
         self._send(connection, Request(piece=piece))
@@ -426,7 +451,7 @@ class Peer:
         for piece in stalled:
             holder = self._pending.get(piece)
             if holder is not None:
-                holder.outstanding.discard(piece)
+                holder.outstanding &= ~(1 << piece)
             self._unpend(piece)
         if stalled:
             self._fill_pipelines()

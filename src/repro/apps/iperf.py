@@ -33,20 +33,21 @@ class IperfServer:
         self.meter = ThroughputMeter(self.node.clock)
         self.per_flow: Dict[str, ThroughputMeter] = {}
         self.connections = 0
-        stack.listen(port, self._on_accept, options=options,
-                     on_data=self._on_data)
+        stack.listen(port, self._on_accept, options=options)
 
     def _on_accept(self, sock: TcpSocket) -> None:
+        # The handshake completes before any data is delivered, so the
+        # flow's meter is found here once, not per delivered segment.
         self.connections += 1
-        key = f"{sock.remote_addr}:{sock.remote_port}"
-        self.per_flow[key] = ThroughputMeter(self.node.clock)
+        meter = self.meter
+        flow_meter = ThroughputMeter(self.node.clock)
+        self.per_flow[f"{sock.remote_addr}:{sock.remote_port}"] = flow_meter
 
-    def _on_data(self, sock: TcpSocket, n_bytes: int) -> None:
-        self.meter.add(n_bytes)
-        key = f"{sock.remote_addr}:{sock.remote_port}"
-        flow_meter = self.per_flow.get(key)
-        if flow_meter is not None:
+        def on_data(sock: TcpSocket, n_bytes: int) -> None:
+            meter.add(n_bytes)
             flow_meter.add(n_bytes)
+
+        sock.on_data = on_data
 
     @property
     def total_bytes(self) -> int:

@@ -176,12 +176,15 @@ class Event:
         self.time = time
         self.seq = seq = sim._seq
         sim._seq = seq + 1
-        _heappush(sim._queue, (
+        queue = sim._queue
+        _heappush(queue, (
             time, sim._now if self.tie_key is None else self.tie_key, seq, self,
         ))
+        size = len(queue)
+        if size > sim.max_heap_len:
+            sim.max_heap_len = size
         # Dead entries outnumber live ones (and the floor is passed).
-        if (sim._dead > _COMPACT_MIN_DEAD
-                and sim._dead + sim._dead > len(sim._queue)):
+        if sim._dead > _COMPACT_MIN_DEAD and sim._dead + sim._dead > size:
             sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

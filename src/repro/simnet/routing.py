@@ -84,18 +84,41 @@ def compute_routes(
 
     Returns ``{node: {dst: next_hop_name}}``. The adjacency is built once
     and shared by every source's Dijkstra.
+
+    A node with exactly one link (a leaf: every host of a star) reaches
+    every destination through that link, and what it can reach is its
+    neighbour plus what the neighbour can reach. Its table is derived
+    from the neighbour's, so Dijkstra runs only for nodes with two or
+    more links, and for a leaf whose neighbour is a leaf too. A derived
+    table holds the same next hops as Dijkstra's; only its insertion
+    order may differ, and nothing iterates a routing table.
     """
     node_list = list(nodes)
     adjacency = _adjacency(node_list, links)
-    tables: Dict[str, Dict[str, str]] = {}
+    leaves: Dict[str, str] = {}
+    computed: Dict[str, Dict[str, str]] = {}
     for node in node_list:
         source = node.name
+        neighbours = adjacency[source]
+        if len(neighbours) == 1 and len(adjacency[neighbours[0][0]]) != 1:
+            leaves[source] = neighbours[0][0]
+            continue
         best, settled = _dijkstra(source, adjacency)
         first_hop = {}
         for name in settled[1:]:
             parent = best[name][1]
             first_hop[name] = name if parent == source else first_hop[parent]
-        tables[source] = {dst: first_hop[dst] for dst in best if dst != source}
+        computed[source] = {dst: first_hop[dst] for dst in best if dst != source}
+    tables: Dict[str, Dict[str, str]] = {}
+    for node in node_list:
+        source = node.name
+        hop = leaves.get(source)
+        if hop is None:
+            tables[source] = computed[source]
+        else:
+            table = {hop: hop}
+            table.update((dst, hop) for dst in computed[hop] if dst != source)
+            tables[source] = table
     return tables
 
 

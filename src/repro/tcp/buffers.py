@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..simnet.errors import ProtocolError
 
@@ -78,6 +78,23 @@ class SendBuffer:
         return len(self._markers)
 
 
+class _Callbacks:
+    """The sink of a standalone assembler: plain ``on_message(message)`` and
+    ``on_data(n)`` callbacks, called the way a socket's are."""
+
+    __slots__ = ("on_message", "on_data")
+
+    def __init__(
+        self,
+        on_message: Optional[Callable[[Any], None]],
+        on_data: Optional[Callable[[int], None]],
+    ) -> None:
+        self.on_message = (None if on_message is None
+                           else lambda _sink, message: on_message(message))
+        self.on_data = (None if on_data is None
+                        else lambda _sink, n_bytes: on_data(n_bytes))
+
+
 class ReceiveAssembler:
     """Inbound stream reassembly: cumulative delivery plus out-of-order holding.
 
@@ -85,10 +102,18 @@ class ReceiveAssembler:
     Out-of-order ranges are merged into a sorted list of disjoint
     ``(start, end)`` intervals; message markers wait in a dict keyed by
     their completing offset until the stream passes them.
+
+    Delivery goes to a *sink*: any object with ``on_data`` and
+    ``on_message`` attributes, each ``None`` or called as
+    ``on_data(sink, n)`` / ``on_message(sink, message)``. A
+    :class:`~repro.tcp.socket.TcpSocket` is its own assembler's sink, so
+    the application's callbacks are called with no forwarding method in
+    between and no per-socket bound methods. Without ``sink``, the plain
+    ``on_message``/``on_data`` callbacks are wrapped into one.
     """
 
-    __slots__ = ("buffer_size", "rcv_nxt", "bytes_delivered", "on_message",
-                 "on_data", "_ooo", "_recent", "_pending_messages",
+    __slots__ = ("buffer_size", "rcv_nxt", "bytes_delivered", "sink",
+                 "_ooo", "_recent", "_pending_messages",
                  "_max_delivered_marker")
 
     def __init__(
@@ -96,18 +121,22 @@ class ReceiveAssembler:
         buffer_size: int,
         on_message: Optional[Callable[[Any], None]] = None,
         on_data: Optional[Callable[[int], None]] = None,
+        sink: Any = None,
     ) -> None:
         if buffer_size <= 0:
             raise ProtocolError("receive buffer must be positive")
         self.buffer_size = buffer_size
         self.rcv_nxt = 0
         self.bytes_delivered = 0
-        self.on_message = on_message
-        self.on_data = on_data
-        self._ooo: List[Tuple[int, int]] = []  # disjoint, sorted [start, end)
+        self.sink = sink if sink is not None else _Callbacks(on_message, on_data)
+        # Both interval lists start as the shared empty tuple: most
+        # connections never hold a range, and every mutation below either
+        # builds a fresh list or runs only on a non-empty one.
+        self._ooo: Sequence[Tuple[int, int]] = ()  # disjoint, sorted [start, end)
         #: Same intervals ordered most-recently-touched first (for SACK).
-        self._recent: List[Tuple[int, int]] = []
-        self._pending_messages: Dict[int, List[Any]] = {}
+        self._recent: Sequence[Tuple[int, int]] = ()
+        #: Completing offset -> the message, first copy only.
+        self._pending_messages: Dict[int, Any] = {}
         #: Highest marker offset already handed to the application. Marker
         #: delivery is in offset order, so any arriving marker at or below
         #: this is a duplicate from a retransmission and must be ignored.
@@ -145,18 +174,22 @@ class ReceiveAssembler:
         socket uses this to decide between a normal and an immediate
         duplicate ACK.
         """
-        for offset, message in messages:
-            if offset <= self._max_delivered_marker:
-                continue  # duplicate copy from a retransmission
-            pending = self._pending_messages.setdefault(offset, [])
-            if not pending:
-                pending.append(message)
+        if messages:
+            pending = self._pending_messages
+            delivered_marker = self._max_delivered_marker
+            for offset, message in messages:
+                # At or below the last delivered marker is a duplicate copy
+                # from a retransmission; of the held ones, the first wins.
+                if offset > delivered_marker:
+                    pending.setdefault(offset, message)
         if length == 0:
             return False
         end = seq + length
         rcv_nxt = self.rcv_nxt
         if end <= rcv_nxt:
-            self._flush_stale_messages()
+            # A retransmission may carry markers for data we already passed.
+            if self._pending_messages:
+                self._deliver_messages()
             return False  # pure duplicate
         if seq > rcv_nxt:
             self._insert_ooo(seq, end)
@@ -179,8 +212,10 @@ class ReceiveAssembler:
         delivered = end - rcv_nxt  # > 0: end passed rcv_nxt
         self.rcv_nxt = end
         self.bytes_delivered += delivered
-        if self.on_data is not None:
-            self.on_data(delivered)
+        sink = self.sink
+        on_data = sink.on_data
+        if on_data is not None:
+            on_data(sink, delivered)
         if self._pending_messages:
             self._deliver_messages()
         return True
@@ -214,7 +249,7 @@ class ReceiveAssembler:
                 else:
                     self._recent = [grown] + [iv for iv in recent if iv != last]
                 return
-        intervals = self._ooo + [(start, end)]
+        intervals = [*self._ooo, (start, end)]
         intervals.sort()
         merged: List[Tuple[int, int]] = []
         for lo, hi in intervals:
@@ -245,20 +280,21 @@ class ReceiveAssembler:
     # --------------------------------------------------------------- messages
 
     def _deliver_messages(self) -> None:
-        if self.on_message is None:
-            self._drop_delivered_message_keys()
-            return
-        ready = sorted(off for off in self._pending_messages if off <= self.rcv_nxt)
-        for offset in ready:
-            self._max_delivered_marker = max(self._max_delivered_marker, offset)
-            for message in self._pending_messages.pop(offset):
-                self.on_message(message)
+        """Hand over, in offset order, every held message the stream passed.
 
-    def _flush_stale_messages(self) -> None:
-        # A retransmission may carry markers for data we already passed.
-        self._deliver_messages()
-
-    def _drop_delivered_message_keys(self) -> None:
-        for offset in [off for off in self._pending_messages if off <= self.rcv_nxt]:
+        A sink without ``on_message`` drops them, but the offsets still
+        count as delivered, so later copies stay duplicates.
+        """
+        sink = self.sink
+        pending = self._pending_messages
+        rcv_nxt = self.rcv_nxt
+        for offset in sorted(off for off in pending if off <= rcv_nxt):
             self._max_delivered_marker = max(self._max_delivered_marker, offset)
-            del self._pending_messages[offset]
+            message = pending.pop(offset)
+            on_message = sink.on_message
+            if on_message is not None:
+                on_message(sink, message)
+        if not pending:
+            # An emptied dict keeps its key table; clearing frees it, so an
+            # idle connection holds only the empty dict.
+            pending.clear()

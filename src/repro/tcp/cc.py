@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+#: "Infinite" ssthresh until the first loss; one float shared by every
+#: controller instead of a new one per connection.
+_INITIAL_SSTHRESH = float(1 << 30)
+
+
 def initial_window(mss: int) -> int:
     """RFC 3390 initial congestion window."""
     return min(4 * mss, max(2 * mss, 4380))
@@ -64,7 +69,7 @@ class CongestionControl(abc.ABC):
             raise ConfigurationError(f"mss must be positive: {mss}")
         self.mss = mss
         self.cwnd = float(initial_window(mss))
-        self.ssthresh = float(1 << 30)  # "infinite" until the first loss
+        self.ssthresh = _INITIAL_SSTHRESH
 
     # ------------------------------------------------------------------ hooks
 

@@ -24,7 +24,7 @@ The socket is callback-driven (the substrate has no threads):
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..simnet.engine import Event
 from ..simnet.errors import ProtocolError
@@ -59,6 +59,9 @@ MAX_RETRIES = 15
 #: IP plus TCP header bytes: the wire size of a segment with no payload
 #: and no options (see :func:`~repro.tcp.segment.segment_wire_bytes`).
 _TCP_IP_HEADER_BYTES = IP_HEADER_BYTES + TCP_HEADER_BYTES
+
+#: Shared by every socket: ``float("-inf")`` would build a new float each.
+_NEG_INF = float("-inf")
 
 
 def _merge_interval(ranges, start, end):
@@ -202,7 +205,7 @@ class TcpSocket:
         #: Loss-quiet tracking for the fluid predicate: last observed
         #: (fast_retransmits, timeouts) pair and when it last changed.
         self._fluid_loss_stat = (0, 0)
-        self._fluid_last_loss = float("-inf")
+        self._fluid_last_loss = _NEG_INF
 
         self.state = CLOSED
 
@@ -230,11 +233,15 @@ class TcpSocket:
         #: Highest sequence ever sent; anything below is a retransmission.
         self._high_water = 0
         # ---- SACK scoreboard (RFC 6675-style recovery)
+        # Both range lists are the shared empty tuple whenever they are
+        # reset: most connections never see a SACK block or a recovery
+        # episode, and an RTO resets them without allocating. Only a
+        # non-empty list is ever mutated in place.
         #: Disjoint, sorted (start, end) seq ranges the peer has SACKed.
-        self._scoreboard: list = []
+        self._scoreboard: Sequence[Tuple[int, int]] = ()
         #: Ranges retransmitted during the current recovery episode
         #: (appended in ascending order — see _scan_cursor).
-        self._rexmit_marks: list = []
+        self._rexmit_marks: Sequence[Tuple[int, int]] = ()
         #: Hole-scan position: everything below it is sacked or already
         #: retransmitted this episode, so the per-segment hole search is
         #: O(scoreboard) instead of O(episode length^2).
@@ -257,11 +264,10 @@ class TcpSocket:
         self._ecn_recover = 0
 
         # ---- receiver state
-        self.assembler = ReceiveAssembler(
-            self.options.receive_buffer,
-            on_message=self._deliver_message,
-            on_data=self._deliver_data,
-        )
+        # The socket is its assembler's sink: the assembler calls the
+        # ``on_data`` and ``on_message`` slots above as they stand when
+        # data arrives.
+        self.assembler = ReceiveAssembler(self.options.receive_buffer, sink=self)
         self._remote_fin_stream: Optional[int] = None
         self._fin_received = False
         self._segments_since_ack = 0
@@ -647,8 +653,8 @@ class TcpSocket:
             self._in_recovery = False
             self._dupacks = 0
             # An RTO invalidates our faith in the scoreboard (RFC 6675 §5.1).
-            self._scoreboard = []
-            self._rexmit_marks = []
+            self._scoreboard = ()
+            self._rexmit_marks = ()
             self._marks_bytes = 0
             self._scan_cursor = self.snd_una
             # Go-back-N (RFC 5681 §5): rewind and let the ACK clock
@@ -729,7 +735,7 @@ class TcpSocket:
         self._in_recovery = True
         self._recover = self.snd_nxt
         self._timed_seq = None
-        self._rexmit_marks = []
+        self._rexmit_marks = ()
         self._marks_bytes = 0
         self._scan_cursor = self.snd_una
         # RFC 6675: the first lost segment is retransmitted immediately,
@@ -750,13 +756,17 @@ class TcpSocket:
             self._emit(seq=seq, fin=True, ack_flag=True, retransmission=True)
         # Holes are visited in ascending order within an episode, so the
         # marks list stays sorted with O(1) appends.
-        if self._rexmit_marks and self._rexmit_marks[-1][1] >= seq:
-            last_lo, last_hi = self._rexmit_marks[-1]
+        marks = self._rexmit_marks
+        if marks and marks[-1][1] >= seq:
+            last_lo, last_hi = marks[-1]
             new_hi = max(last_hi, end)
             self._marks_bytes += new_hi - last_hi
-            self._rexmit_marks[-1] = (last_lo, new_hi)
+            marks[-1] = (last_lo, new_hi)
         else:
-            self._rexmit_marks.append((seq, end))
+            if marks:
+                marks.append((seq, end))
+            else:
+                self._rexmit_marks = [(seq, end)]
             self._marks_bytes += end - seq
         self._scan_cursor = max(self._scan_cursor, end)
 
@@ -1011,7 +1021,7 @@ class TcpSocket:
             if ack >= self._recover:
                 self._in_recovery = False
                 self._dupacks = 0
-                self._rexmit_marks = []
+                self._rexmit_marks = ()
                 self._marks_bytes = 0
                 self.cc.on_exit_recovery(now)
             elif self.options.sack:
@@ -1100,16 +1110,6 @@ class TcpSocket:
             self._enter_time_wait()
         elif self.state == LAST_ACK:
             self._become_closed()
-
-    # ---------------------------------------------------------------- payload
-
-    def _deliver_data(self, n_bytes: int) -> None:
-        if self.on_data is not None:
-            self.on_data(self, n_bytes)
-
-    def _deliver_message(self, message: Any) -> None:
-        if self.on_message is not None:
-            self.on_message(self, message)
 
     # -------------------------------------------------------------------- FIN
 

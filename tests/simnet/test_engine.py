@@ -239,6 +239,16 @@ def test_reschedule_rearms_fired_event():
     assert fired == [1.0, 3.0]
 
 
+def test_reschedule_push_counts_toward_peak_heap_length():
+    """Each re-key pushes an entry; the peak must see every push."""
+    sim = Simulator()
+    event = sim.schedule(1.0, lambda: None)
+    for step in range(60):
+        event.reschedule(2.0 + step)
+    assert sim.heap_len() == 61  # below the compaction floor: none reaped
+    assert sim.max_heap_len == 61
+
+
 def test_reschedule_into_past_rejected():
     sim = Simulator()
     event = sim.schedule(1.0, lambda: None)

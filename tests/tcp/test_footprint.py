@@ -9,6 +9,7 @@ slots exist to avoid), and a missing slot anywhere else raises.
 """
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -25,10 +26,20 @@ from tests.helpers import Collector, two_hosts
 
 #: Traced bytes one established, idle connection pair may cost (both
 #: endpoints with their buffers, estimators and congestion state).
-#: Slotted records measure ~3.5 KB on CPython 3.10-3.12; with instance
-#: dicts the same pair cost 4.9 KB (3.10) to 6.1 KB (3.11).
-PAIR_BUDGET_BYTES = 4200
+#: A pair measures 2,716 B on CPython 3.11.7: the socket is its
+#: assembler's sink and empty range lists are shared, where bound
+#: methods and fresh lists made it 3,528 B; with instance dicts the same
+#: pair cost 4.9 KB (3.10) to 6.1 KB (3.11). The budget keeps the 19%
+#: margin the 3,528 B pair had under its 4,200 B budget.
+PAIR_BUDGET_BYTES = 3230
 PAIRS = 200
+
+#: Bytes a BitTorrent connection record may hold, on average, after a
+#: 16-piece swarm: the slotted record plus its piece state. With
+#: ``remote_have`` and ``outstanding`` as int bitfields this is 784 B on
+#: CPython 3.11.7; as sets (216 B empty, 728 B past four pieces) it was
+#: 1,621 B. Same 19% margin as the pair budget.
+CONNECTION_BUDGET_BYTES = 930
 
 
 def test_idle_connection_pair_fits_budget():
@@ -80,6 +91,34 @@ def test_swarm_cell_leaves_nothing_outside_slots(built):
     assert built["connections"]
     for connection in built["connections"]:
         assert not hasattr(connection, "__dict__")
+
+
+def connection_record_bytes(connection):
+    """Bytes of one connection record and the piece state it owns.
+
+    ``sys.getsizeof`` counts each object as tracemalloc traces its block:
+    the record, its ``interesting`` set with any grown table, and the two
+    bitfields.
+    """
+    return sum(sys.getsizeof(part) for part in (
+        connection, connection.remote_have, connection.interesting,
+        connection.outstanding,
+    ))
+
+
+def test_swarm_connection_records_fit_budget(built):
+    result = run_bittorrent(NetworkProfile.from_rtt(mbps(10), ms(10)), 1,
+                            leechers=4, file_bytes=1 << 20,
+                            piece_bytes=65536, seed=2)
+    assert result.completed == 4
+    connections = built["connections"]
+    assert connections
+    for connection in connections:
+        assert type(connection.remote_have) is int
+        assert type(connection.outstanding) is int
+        assert type(connection.interesting) is set
+    mean = sum(map(connection_record_bytes, connections)) / len(connections)
+    assert mean <= CONNECTION_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("flavor", ["newreno", "cubic", "vegas", "tahoe"])

@@ -29,7 +29,7 @@ either numbers (SI base units) or strings (``"10Mbps"``, ``"5ms"``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..core.tdf import TdfLike, as_tdf
 from ..core.vm import VirtualMachine
@@ -105,15 +105,17 @@ class Scenario:
     4. install a :class:`~repro.simnet.fluid.FluidManager` for
        ``fidelity="hybrid"`` — per engine, so a sharded hybrid run gets one
        per worker, and flows crossing the cut stay packet-level;
-    5. create the :class:`~repro.core.vmm.Hypervisor`.
+    5. create the :class:`~repro.core.vmm.Hypervisor` and, for a paced
+       testbed, the :class:`~repro.realtime.driver.RealtimeDriver`.
 
-    Creating the hypervisor, VMs and stacks schedules nothing. Whatever
-    does — impairment chains, an app's ``start()``, swarm construction —
-    the runner calls in its own fixed order after the constructor.
+    Creating the hypervisor, driver, VMs and stacks schedules nothing.
+    Whatever does — impairment chains, an app's ``start()``, swarm
+    construction — the runner calls in its own fixed order after the
+    constructor.
 
     ``realtime`` (True or a :class:`~repro.realtime.driver.RealtimeConfig`)
-    paces :meth:`run` against the wall clock; ``trace`` is the spec
-    :meth:`record` attaches.
+    creates :attr:`driver`, which paces :meth:`run` against the wall
+    clock; ``trace`` is the spec :meth:`record` attaches.
     """
 
     def __init__(
@@ -128,14 +130,12 @@ class Scenario:
         realtime=False,
         trace: Optional[TraceSpec] = None,
         host_cycles_per_second: float = 1e9,
-        links: Iterable[Link] = (),
     ) -> None:
         check_axes(fidelity, realtime, trace,
                    shard.shards if shard is not None else 1)
         self.network = network
         self.tdf = as_tdf(tdf)
         self.trace = trace
-        self.realtime = realtime
         self.link_schedule = (
             schedule.build(schedule_link, tdf=self.tdf)
             if schedule is not None else None
@@ -150,10 +150,15 @@ class Scenario:
             FluidManager(network.sim)
         self.vmm = Hypervisor(network.sim,
                               host_cycles_per_second=host_cycles_per_second)
-        self.links = list(links)
+        #: The wall-clock pacer (None unless ``realtime``). One driver
+        #: serves every :meth:`run`, so a warmup and the measurement that
+        #: follows stay on one schedule.
+        self.driver: Optional[RealtimeDriver] = None
+        if realtime:
+            config = realtime if isinstance(realtime, RealtimeConfig) else None
+            self.driver = RealtimeDriver(network.sim, config=config)
         self.vms: Dict[str, VirtualMachine] = {}
         self.recorder: Optional[FlightRecorder] = None
-        self._driver: Optional[RealtimeDriver] = None
         self._tcp: Dict[str, TcpStack] = {}
         self._udp: Dict[str, UdpStack] = {}
 
@@ -192,7 +197,8 @@ class Scenario:
         ``points`` maps each trace point to ``(interface, owning node)``.
         Every attachment is made only on the shard that owns its node, so a
         merged sharded trace has no duplicates. The recorder stamps virtual
-        time on ``clock`` and records its epoch changes as ``label``.
+        time on ``clock`` and records its epoch changes as ``label``; a
+        paced testbed's deadline misses land in it beside the packet events.
         """
         trace = self.trace
         if trace is None:
@@ -210,6 +216,8 @@ class Scenario:
             recorder.attach_clock(clock, label=label)
         if trace.timers:
             recorder.attach_engine(self.sim)
+        if self.driver is not None:
+            self.driver.recorder = recorder
         self.recorder = recorder
         return recorder
 
@@ -219,21 +227,14 @@ class Scenario:
 
         ``until`` is physical seconds (None: until the queue drains); pass
         ``virtual="<node>"`` to interpret it as that node's VM-virtual
-        seconds instead. A paced testbed keeps one driver across calls, so
-        a warmup and the measurement that follows stay on one schedule,
-        and deadline misses land in the recorder beside the packet events.
+        seconds instead.
         """
         if until is not None and virtual is not None:
             until = self.vm(virtual).clock.to_physical(until)
-        if not self.realtime:
+        if self.driver is None:
             self.shard.advance(until)
-            return
-        if self._driver is None:
-            config = (self.realtime
-                      if isinstance(self.realtime, RealtimeConfig) else None)
-            self._driver = RealtimeDriver(self.sim, config=config,
-                                          recorder=self.recorder)
-        self._driver.run(until)
+        else:
+            self.driver.run(until)
 
     def finish(self, result):
         """Fill ``result``'s run-level fields and return it: the engine's
@@ -242,8 +243,8 @@ class Scenario:
         result.events_processed = self.sim.events_processed
         if self.recorder is not None:
             result.trace_events = self.recorder.snapshot()
-        if self._driver is not None:
-            result.realtime_stats = self._driver.stats.as_dict()
+        if self.driver is not None:
+            result.realtime_stats = self.driver.stats.as_dict()
         return result
 
     def node(self, name: str) -> Node:
@@ -288,7 +289,6 @@ def build_scenario(spec: Dict[str, Any]) -> Scenario:
     if unknown:
         raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
     network = Network()
-    links = []
     for entry in spec["links"]:
         for key in ("a", "b", "bandwidth", "delay"):
             if key not in entry:
@@ -297,22 +297,19 @@ def build_scenario(spec: Dict[str, Any]) -> Scenario:
             if name not in network.nodes:
                 network.add_node(name)
         queue_packets = int(entry.get("queue", 100))
-        links.append(
-            network.add_link(
-                network.node(entry["a"]),
-                network.node(entry["b"]),
-                _rate(entry["bandwidth"]),
-                _time(entry["delay"]),
-                queue_factory=lambda q=queue_packets: DropTailQueue(
-                    capacity_packets=q
-                ),
-            )
+        network.add_link(
+            network.node(entry["a"]),
+            network.node(entry["b"]),
+            _rate(entry["bandwidth"]),
+            _time(entry["delay"]),
+            queue_factory=lambda q=queue_packets: DropTailQueue(
+                capacity_packets=q
+            ),
         )
     network.finalize()
     scenario = Scenario(
         network,
         host_cycles_per_second=float(spec.get("host_cycles_per_second", 1e9)),
-        links=links,
     )
     for entry in spec.get("vms", []):
         if "node" not in entry:

@@ -111,7 +111,7 @@ import math
 import os
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..simnet.errors import ConfigurationError
 
@@ -340,24 +340,59 @@ class ShardContext:
                     advert = item[0]
         return advert
 
-    def _handshake(self, payload: Tuple) -> List[Tuple]:
-        """One full-mesh exchange; returns the peers' payloads.
+    def _swap(self, peers, tag, *fields, ship: bool = False) -> List[Tuple]:
+        """Swap one tagged message with each of ``peers``; return theirs.
+
+        The message is ``(tag, *fields)``, plus this shard's outbox toward
+        the peer when ``ship`` is set. Three shapes use it:
+
+        * a full round, ``(round, advert, delta, outbox)``, with the whole
+          mesh (:meth:`_exchange`);
+        * a window boundary, ``((round, window), outbox)``, with cut
+          neighbors only (:meth:`advance`);
+        * a consensus, ``(-round, flag)``, with the whole mesh
+          (:meth:`all_agree`).
 
         Peers are visited in increasing id; toward a higher id we send
         first, toward a lower id we receive first. The pairwise operations
-        then chain acyclically, so the exchange can never deadlock however
-        large a pickled bundle is relative to the pipe buffer.
+        then chain acyclically, so the swap can never deadlock however
+        large a pickled bundle is relative to the pipe buffer. A reply with
+        another tag means the workers' control flow diverged, which raises
+        rather than pair mismatched rounds. Shipped outboxes are cleared
+        and inbound bundles are staged for :meth:`_inject`. Returns each
+        peer's ``fields``, in peer order.
         """
         replies = []
         started = time.perf_counter()
-        for peer, conn in self._mesh.items():
+        for peer in peers:
+            conn = self._mesh[peer]
+            message = (tag, *fields)
+            if ship:
+                box = self._outbox[peer]
+                message += (box,)
             if peer > self.shard_id:
-                conn.send(payload)
-                replies.append(conn.recv())
+                conn.send(message)
+                reply = conn.recv()
             else:
                 reply = conn.recv()
-                conn.send(payload)
-                replies.append(reply)
+                conn.send(message)
+            if reply[0] != tag:
+                raise RuntimeError(
+                    f"shard {self.shard_id} barrier desync with shard "
+                    f"{peer}: expected tag {tag!r}, peer answered "
+                    f"{reply[0]!r}"
+                )
+            if ship:
+                self.messages_out += len(box)
+                box.clear()  # in place: channels hold this list
+                bundle = reply[-1]
+                if bundle:
+                    self.messages_in += len(bundle)
+                    staged = self._staged
+                    for item in bundle:
+                        heapq.heappush(staged, item)
+                reply = reply[:-1]
+            replies.append(reply[1:])
         self.barrier_wait_s += time.perf_counter() - started
         return replies
 
@@ -371,41 +406,18 @@ class ShardContext:
         data or the workers' window sequences would diverge.
         """
         self._round += 1
-        tag = self._round
         advert = self._advert()
-        lowest = advert
         executed = self.sim.events_processed
         delta = executed - self._events_at_exchange
         self._events_at_exchange = executed
+        replies = self._swap(self._mesh, self._round, advert, delta, ship=True)
+        self.rounds += 1
+        lowest = advert
         total_delta = delta
-        started = time.perf_counter()
-        for peer, conn in self._mesh.items():
-            box = self._outbox[peer]
-            if peer > self.shard_id:
-                conn.send((tag, advert, delta, box))
-                self.messages_out += len(box)
-                box.clear()  # in place: channels hold this list
-                peer_tag, peer_advert, peer_delta, bundle = conn.recv()
-            else:
-                peer_tag, peer_advert, peer_delta, bundle = conn.recv()
-                conn.send((tag, advert, delta, box))
-                self.messages_out += len(box)
-                box.clear()
-            if peer_tag != tag:
-                raise RuntimeError(
-                    f"shard {self.shard_id} barrier desync with shard "
-                    f"{peer}: round {tag}, peer answered {peer_tag}"
-                )
+        for peer_advert, peer_delta in replies:
             if peer_advert < lowest:
                 lowest = peer_advert
             total_delta += peer_delta
-            if bundle:
-                self.messages_in += len(bundle)
-                staged = self._staged
-                for item in bundle:
-                    heapq.heappush(staged, item)
-        self.barrier_wait_s += time.perf_counter() - started
-        self.rounds += 1
         # Dense enough to batch iff the span since the previous round
         # averaged at least one event per window globally; sparse regions
         # keep the one-window round whose global-min grant can jump an
@@ -413,44 +425,6 @@ class ShardContext:
         self._dense = total_delta >= self._windows_since_exchange
         self._windows_since_exchange = 0
         return lowest
-
-    def _swap_boundary(self, window: int) -> None:
-        """Ship outboxes to cut neighbors at a mid-batch window boundary.
-
-        Packets sent during sub-window ``w`` arrive no earlier than the
-        start of sub-window ``w + 1`` (every cut edge's delay is at least
-        the lookahead), so shipping at each boundary is sufficient; an
-        empty bundle is the null message that licenses the receiver to
-        proceed. Only neighbors swap — this is the part of a round that is
-        O(cut degree), not O(shards²) — with the same low/high
-        send-first/receive-first ordering as the full mesh.
-        """
-        tag = (self._round, window)
-        started = time.perf_counter()
-        for peer in self._neighbors:
-            conn = self._mesh[peer]
-            box = self._outbox[peer]
-            if peer > self.shard_id:
-                conn.send((tag, box))
-                self.messages_out += len(box)
-                box.clear()
-                peer_tag, bundle = conn.recv()
-            else:
-                peer_tag, bundle = conn.recv()
-                conn.send((tag, box))
-                self.messages_out += len(box)
-                box.clear()
-            if peer_tag != tag:
-                raise RuntimeError(
-                    f"shard {self.shard_id} window-boundary desync with "
-                    f"shard {peer}: expected {tag}, peer answered {peer_tag}"
-                )
-            if bundle:
-                self.messages_in += len(bundle)
-                staged = self._staged
-                for item in bundle:
-                    heapq.heappush(staged, item)
-        self.barrier_wait_s += time.perf_counter() - started
 
     def _inject(self, limit: float) -> None:
         """Schedule every staged arrival at or below ``limit``, in key order.
@@ -506,7 +480,14 @@ class ShardContext:
             batch = self.window_batch if self._dense else 1
             for window in range(batch):
                 if window:
-                    self._swap_boundary(window)
+                    # Packets sent during sub-window ``w - 1`` arrive no
+                    # earlier than the start of ``w`` (every cut edge's
+                    # delay is at least the lookahead), so shipping at each
+                    # boundary suffices; an empty bundle is the null
+                    # message that licenses the receiver to proceed. Only
+                    # cut neighbors swap: O(cut degree), not O(shards²).
+                    self._swap(self._neighbors, (self._round, window),
+                               ship=True)
                 horizon = lowest + (window + 1) * lookahead
                 if horizon > until:
                     limit = until
@@ -530,16 +511,9 @@ class ShardContext:
         complete?") so every worker takes identical control-flow decisions.
         """
         self._round += 1
-        tag = -self._round  # negative tags mark consensus rounds
-        agreed = bool(flag)
-        for peer_tag, peer_flag in self._handshake((tag, bool(flag))):
-            if peer_tag != tag:
-                raise RuntimeError(
-                    f"shard {self.shard_id} consensus desync: round {-tag}, "
-                    f"peer answered {peer_tag}"
-                )
-            agreed = agreed and peer_flag
-        return agreed
+        # Negative tags mark consensus rounds.
+        replies = self._swap(self._mesh, -self._round, bool(flag))
+        return bool(flag) and all(peer_flag for (peer_flag,) in replies)
 
     # ---------------------------------------------------------- observation
 

@@ -19,7 +19,7 @@ to pacing the physical timeline 1:1 against a monotonic clock.
 """
 
 from .driver import CATCHUP_POLICIES, RealtimeConfig, RealtimeDriver, RealtimeStats
-from .ingress import GatewayPayload, UdpEchoServer, UdpGateway
+from .ingress import GatewayPayload, UdpGateway
 
 __all__ = [
     "CATCHUP_POLICIES",
@@ -27,6 +27,5 @@ __all__ = [
     "RealtimeDriver",
     "RealtimeStats",
     "GatewayPayload",
-    "UdpEchoServer",
     "UdpGateway",
 ]

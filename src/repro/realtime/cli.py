@@ -28,6 +28,7 @@ import time
 from typing import List, Optional, Tuple
 
 from ..core.dilation import NetworkProfile
+from ..simnet.errors import ConfigurationError
 from .driver import CATCHUP_POLICIES, RealtimeConfig
 from .scenario import build_echo_scenario
 
@@ -136,17 +137,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    perceived = NetworkProfile.from_rtt(
-        args.bandwidth_mbps * 1e6, args.rtt_ms / 1000.0
-    )
-    config = RealtimeConfig(
-        spin_threshold_s=args.spin_us / 1e6,
-        miss_threshold_s=args.miss_ms / 1000.0,
-        catchup=args.catchup,
-    )
-    scenario = build_echo_scenario(
-        perceived=perceived, tdf=args.tdf, bind=args.bind, config=config,
-    )
+    try:
+        perceived = NetworkProfile.from_rtt(
+            args.bandwidth_mbps * 1e6, args.rtt_ms / 1000.0
+        )
+        config = RealtimeConfig(
+            spin_threshold_s=args.spin_us / 1e6,
+            miss_threshold_s=args.miss_ms / 1000.0,
+            catchup=args.catchup,
+        )
+        scenario = build_echo_scenario(
+            perceived=perceived, tdf=args.tdf, bind=args.bind, config=config,
+        )
+    except (ConfigurationError, OSError) as error:
+        # A bad knob or an unusable --bind address: one line, no traceback.
+        print(str(error), file=sys.stderr)
+        return 2
     host, port = scenario.gateway.address
     wall_rtt_ms = args.rtt_ms * args.tdf
     print(f"serving on {host}:{port} — {args.bandwidth_mbps:g} Mbps, "

@@ -29,14 +29,14 @@ engine access.
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.clock import DilatedClock
 from ..udp.socket import Datagram, UdpSocket, UdpStack
 
-__all__ = ["GatewayPayload", "UdpGateway", "UdpEchoServer"]
+__all__ = ["GatewayPayload", "UdpGateway"]
 
 #: Largest real datagram accepted in one recvfrom.
 _MAX_DATAGRAM = 65535
@@ -108,8 +108,12 @@ class UdpGateway:
         #: external (ip, port) → simulated ephemeral socket for that client.
         self._clients: Dict[Tuple[str, int], UdpSocket] = {}
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.setblocking(False)
-        self._sock.bind(bind)
+        try:
+            self._sock.setblocking(False)
+            self._sock.bind(bind)
+        except OSError:
+            self._sock.close()  # an unusable address must not leak the fd
+            raise
         self._closed = False
 
     @property
@@ -203,28 +207,3 @@ class UdpGateway:
             f"out={self.stats.egress_datagrams})"
         )
 
-
-class UdpEchoServer:
-    """A simulated UDP echo service (RFC 862, inside the emulation).
-
-    Echoes every datagram back to its source with the payload intact —
-    which round-trips :class:`GatewayPayload` stamps and makes the gateway's
-    virtual-latency sampling work end to end.
-    """
-
-    def __init__(self, stack: UdpStack, port: int = 7) -> None:
-        self.socket = stack.bind(port=port, on_datagram=self._on_datagram)
-        self.port = self.socket.port
-        self.echoed = 0
-
-    def _on_datagram(self, sock: UdpSocket, datagram: Datagram) -> None:
-        self.echoed += 1
-        sock.sendto(
-            datagram.src_addr,
-            datagram.src_port,
-            datagram.size_bytes,
-            datagram.payload,
-        )
-
-    def close(self) -> None:
-        self.socket.close()

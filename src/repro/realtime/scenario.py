@@ -6,6 +6,11 @@ and a live UDP gateway on the near side. An external client that sends a
 datagram to the gateway sees it come back after the simulated round trip —
 ``RTT_virtual x TDF`` of wall time — with the exact virtual-time latency
 recoverable from the gateway's samples.
+
+The testbed is an ordinary paced
+:class:`~repro.harness.scenario.Scenario`: the same hypervisor, guests,
+stacks and driver wiring the batch experiments use, with the gateway
+attached as the driver's ingress source.
 """
 
 from __future__ import annotations
@@ -13,14 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..apps.ping import ECHO_PORT, EchoResponder
 from ..core.clock import DilatedClock
 from ..core.dilation import NetworkProfile, physical_for
 from ..core.tdf import TdfLike, as_tdf
-from ..core.vmm import Hypervisor
+from ..harness.scenario import Scenario
 from ..simnet.queues import DropTailQueue
 from ..simnet.topology import Network
 from .driver import RealtimeConfig, RealtimeDriver
-from .ingress import UdpEchoServer, UdpGateway
+from .ingress import UdpGateway
 
 __all__ = ["EchoScenario", "build_echo_scenario"]
 
@@ -34,13 +40,10 @@ class EchoScenario:
     """Everything a live echo service needs, wired and ready to run."""
 
     net: Network
-    vmm: Hypervisor
     driver: RealtimeDriver
     gateway: UdpGateway
-    echo: UdpEchoServer
+    echo: EchoResponder
     clock: DilatedClock
-    perceived: NetworkProfile
-    tdf: TdfLike
 
     def close(self) -> None:
         """Release the gateway's OS socket (the simulation needs no teardown)."""
@@ -51,9 +54,8 @@ def build_echo_scenario(
     perceived: NetworkProfile = DEFAULT_PROFILE,
     tdf: TdfLike = 1,
     bind: Tuple[str, int] = ("127.0.0.1", 0),
-    echo_port: int = 7,
+    echo_port: int = ECHO_PORT,
     config: Optional[RealtimeConfig] = None,
-    recorder=None,
 ) -> EchoScenario:
     """Build gateway ⇄ echo-server over one dilated link, driver attached.
 
@@ -62,8 +64,6 @@ def build_echo_scenario(
     ``driver.stop()``) to start pacing. The gateway's live address is
     ``scenario.gateway.address``.
     """
-    from ..udp.socket import UdpStack
-
     factor = as_tdf(tdf)
     physical = physical_for(perceived, factor)
     net = Network()
@@ -74,17 +74,16 @@ def build_echo_scenario(
         queue_factory=lambda: DropTailQueue(capacity_packets=64),
     )
     net.finalize()
-    vmm = Hypervisor(net.sim)
-    gw_vm = vmm.create_vm("gw-vm", tdf=factor, cpu_share=0.5, node=gw)
-    vmm.create_vm("srv-vm", tdf=factor, cpu_share=0.5, node=srv)
-    echo = UdpEchoServer(UdpStack(srv), port=echo_port)
+    testbed = Scenario(net, factor, realtime=config or True)
+    gw_vm = testbed.boot("gw-vm", gw, share=0.5)
+    testbed.boot("srv-vm", srv, share=0.5)
+    echo = EchoResponder(testbed.udp("srv"), port=echo_port)
     gateway = UdpGateway(
-        UdpStack(gw), gw_vm.clock, target_addr="srv",
-        target_port=echo.port, bind=bind,
+        testbed.udp("gw"), gw_vm.clock, target_addr="srv",
+        target_port=echo.socket.port, bind=bind,
     )
-    driver = RealtimeDriver(net.sim, config=config, recorder=recorder)
-    driver.add_source(gateway)
+    testbed.driver.add_source(gateway)
     return EchoScenario(
-        net=net, vmm=vmm, driver=driver, gateway=gateway, echo=echo,
-        clock=gw_vm.clock, perceived=perceived, tdf=factor,
+        net=net, driver=testbed.driver, gateway=gateway, echo=echo,
+        clock=gw_vm.clock,
     )

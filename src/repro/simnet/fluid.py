@@ -87,11 +87,6 @@ COOLDOWN_ACKS = 32
 #: loss the packet baseline pays for, overstating goodput.
 QUIET_RTTS = 8.0
 
-#: Paced handback: the window re-opens in this many slices over one srtt
-#: so the resumed packet flow does not burst a full window into a queue
-#: the fluid model kept near-empty.
-PACE_TICKS = 8
-
 #: Route-walk hop bound (defence against routing loops).
 MAX_HOPS = 32
 
@@ -871,71 +866,53 @@ class FluidManager:
             f"(entered at {flow.entry_una}, fluid delivered {flow.delivered})"
         )
 
-    def _begin_pace(self, sock, segments=None, span=None) -> None:
-        """Re-open the window over one RTT after a handback.
+    def _begin_pace(self, sock, segments, span: float) -> None:
+        """Re-open the window over one base RTT after a handback.
 
-        When the exiting flow's modelled pipeline is available, the
-        window re-opens one modelled segment per tick so the packet
-        engine re-emits the exact full/runt mix the fluid model was
-        tracking.  Segment boundaries matter: the flight's packet count
-        (not just its bytes) decides when a packet-bounded bottleneck
-        queue overflows, so a handback that re-chunked the window into
-        clean MSS slices would hand the packet engine a flight that
-        overflows later — and recovers more cleanly — than the one the
-        packet-only engine would have carried.  ``span`` is the *base*
-        RTT: emitting a window that exceeds the BDP over the base RTT
-        deliberately rebuilds the bottleneck queue to the occupancy the
-        model was tracking (pacing over the inflated srtt would drain
-        it, handing the engine a half-empty queue it never had).
+        The window re-opens one segment of the exiting flow's modelled
+        pipeline per tick so the packet engine re-emits the exact
+        full/runt mix the fluid model was tracking.  Segment boundaries
+        matter: the flight's packet count (not just its bytes) decides
+        when a packet-bounded bottleneck queue overflows, so a handback
+        that re-chunked the window into clean MSS slices would hand the
+        packet engine a flight that overflows later — and recovers more
+        cleanly — than the one the packet-only engine would have carried.
+        ``span`` is the *base* RTT: emitting a window that exceeds the BDP
+        over the base RTT deliberately rebuilds the bottleneck queue to
+        the occupancy the model was tracking (pacing over the inflated
+        srtt would drain it, handing the engine a half-empty queue it
+        never had).
+
+        The pipeline is seeded with at least two segments and every ACK
+        cycle refills it with at least the bytes it retires, so an empty
+        one means the model lost track of the flight — a failure like a
+        conservation violation, raised the same way.
         """
-        mss = sock.options.mss
-        target = min(sock.cc.cwnd, float(sock.snd_wnd))
-        srtt = sock.rtt.srtt if sock.rtt.srtt is not None else sock.rtt.rto
-        if segments:
-            sizes = [int(s) for s in segments]
-            sock._pace_window = float(sizes[0])
-            interval = max((span or srtt) / len(sizes), 1e-6)
-            index = [1]
+        if not segments:
+            raise RuntimeError(
+                "fluid handback found an empty modelled pipeline: "
+                f"snd_una={sock.snd_una}, cwnd={sock.cc.cwnd}"
+            )
+        sizes = [int(s) for s in segments]
+        sock._pace_window = float(sizes[0])
+        interval = max(span / len(sizes), 1e-6)
+        index = [1]
 
-            def tick_segment() -> None:
-                if sock._fluid_hold or sock._pace_window is None:
-                    return  # re-entered fluid mode or pacing cancelled
-                if sock.state == "CLOSED":
-                    sock._pace_window = None
-                    return
-                if index[0] >= len(sizes):
-                    sock._pace_window = None
-                else:
-                    sock._pace_window += sizes[index[0]]
-                    index[0] += 1
-                    sock.clock.call_in(interval, tick_segment)
-                sock._try_send()
-
-            sock.clock.call_in(interval, tick_segment)
-            return
-        slice_bytes = max(2.0 * mss, target / PACE_TICKS)
-        if slice_bytes >= target:
-            sock._pace_window = None
-            return
-        sock._pace_window = slice_bytes
-        interval = max(srtt / PACE_TICKS, 1e-4)
-        remaining_ticks = [PACE_TICKS - 1]
-
-        def tick() -> None:
+        def tick_segment() -> None:
             if sock._fluid_hold or sock._pace_window is None:
-                return  # re-entered fluid mode or pacing already finished
+                return  # re-entered fluid mode or pacing cancelled
             if sock.state == "CLOSED":
                 sock._pace_window = None
                 return
-            remaining_ticks[0] -= 1
-            if remaining_ticks[0] <= 0:
+            if index[0] >= len(sizes):
                 sock._pace_window = None
             else:
-                sock._pace_window += slice_bytes
-                sock.clock.call_in(interval, tick)
+                sock._pace_window += sizes[index[0]]
+                index[0] += 1
+                sock.clock.call_in(interval, tick_segment)
             sock._try_send()
 
-        sock.clock.call_in(interval, tick)
+        sock.clock.call_in(interval, tick_segment)
 
     # ------------------------------------------------------------ helpers
 

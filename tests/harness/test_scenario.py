@@ -22,7 +22,7 @@ def test_nodes_created_from_links():
     scenario = build_scenario(BASIC)
     assert scenario.node("client").name == "client"
     assert scenario.node("server").name == "server"
-    assert len(scenario.links) == 1
+    assert len(scenario.network.links) == 1
 
 
 def test_vms_dilate_their_nodes():
@@ -36,7 +36,7 @@ def test_string_and_numeric_quantities():
     scenario = build_scenario({
         "links": [{"a": "x", "b": "y", "bandwidth": 5e6, "delay": 0.001}],
     })
-    interface = scenario.links[0].a_to_b
+    interface = scenario.network.links[0].a_to_b
     assert interface.bandwidth_bps == 5e6
     assert interface.delay_s == 0.001
 
@@ -46,7 +46,7 @@ def test_queue_override():
         "links": [{"a": "x", "b": "y", "bandwidth": "1Mbps",
                    "delay": "1ms", "queue": 7}],
     })
-    assert scenario.links[0].a_to_b.queue.capacity_packets == 7
+    assert scenario.network.links[0].a_to_b.queue.capacity_packets == 7
 
 
 def test_end_to_end_transfer_through_scenario():

@@ -12,8 +12,9 @@ import time
 
 import pytest
 
+from repro.apps.ping import EchoResponder
 from repro.core.dilation import NetworkProfile
-from repro.realtime.ingress import GatewayPayload, UdpEchoServer
+from repro.realtime.ingress import GatewayPayload
 from repro.realtime.scenario import build_echo_scenario
 from repro.simnet.topology import Network
 from repro.udp.socket import UdpStack
@@ -196,7 +197,7 @@ def test_echo_server_in_pure_simulation():
     b = net.add_node("b")
     net.add_link(a, b, 10e6, 0.005)
     net.finalize()
-    echo = UdpEchoServer(UdpStack(b), port=7)
+    echo = EchoResponder(UdpStack(b), port=7)
     got = []
     client = UdpStack(a).bind(
         on_datagram=lambda sock, d: got.append(d))

@@ -11,9 +11,8 @@ exposes the knee); :class:`ClosedLoopHttpUser` models think-time users.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Callable, List, Optional
 
-from ..core.timer import Timer
 from ..simnet.node import Node
 from ..stats.meters import LatencyMeter
 from ..tcp.options import TcpOptions
@@ -24,6 +23,48 @@ from ..workloads.specweb import SpecWebMix
 from .httpd import REQUEST_BYTES, HttpRequest, HttpResponse
 
 __all__ = ["OpenLoopHttpLoad", "ClosedLoopHttpUser", "PersistentHttpClient"]
+
+
+def _get_once(client, then: Optional[Callable[[], None]] = None) -> None:
+    """One GET on its own connection: connect, send, await the full
+    response, close.
+
+    ``client`` supplies the stack, server, options and file mix, times the
+    request on its ``latency`` meter and counts it in ``completed`` and
+    ``bytes_received`` or, on a connection error, ``failed``. ``then``
+    runs after either outcome.
+    """
+    request = HttpRequest.get(client.mix.sample().name)
+    latency = client.latency
+    latency.start(request.request_id)
+
+    def on_connected(sock: TcpSocket) -> None:
+        sock.send(REQUEST_BYTES, message=request)
+
+    def on_message(sock: TcpSocket, message) -> None:
+        if not isinstance(message, HttpResponse):
+            return
+        if latency.stop(message.request_id) is not None:
+            client.completed += 1
+            client.bytes_received += message.body_bytes
+        sock.close()
+        if then is not None:
+            then()
+
+    def on_error(sock: TcpSocket, error: Exception) -> None:
+        latency.abandon(request.request_id)
+        client.failed += 1
+        if then is not None:
+            then()
+
+    client.stack.connect(
+        client.server_addr,
+        client.server_port,
+        options=client.options,
+        on_connected=on_connected,
+        on_message=on_message,
+        on_error=on_error,
+    )
 
 
 class OpenLoopHttpLoad:
@@ -87,39 +128,9 @@ class OpenLoopHttpLoad:
         ):
             self._stopped = True
             return
-        self._issue_request()
-        self._schedule_next()
-
-    def _issue_request(self) -> None:
-        file = self.mix.sample()
-        request = HttpRequest.get(file.name)
         self.issued += 1
-        self.latency.start(request.request_id)
-
-        def on_connected(sock: TcpSocket) -> None:
-            sock.send(REQUEST_BYTES, message=request)
-
-        def on_message(sock: TcpSocket, message) -> None:
-            if not isinstance(message, HttpResponse):
-                return
-            latency = self.latency.stop(message.request_id)
-            if latency is not None:
-                self.completed += 1
-                self.bytes_received += message.body_bytes
-            sock.close()
-
-        def on_error(sock: TcpSocket, error: Exception) -> None:
-            self.latency._open.pop(request.request_id, None)
-            self.failed += 1
-
-        self.stack.connect(
-            self.server_addr,
-            self.server_port,
-            options=self.options,
-            on_connected=on_connected,
-            on_message=on_message,
-            on_error=on_error,
-        )
+        _get_once(self)
+        self._schedule_next()
 
     # ------------------------------------------------------------- reporting
 
@@ -213,7 +224,7 @@ class PersistentHttpClient:
     def _on_error(self, sock: TcpSocket, error: Exception) -> None:
         self.failed += 1
         if self._current_id is not None:
-            self.latency._open.pop(self._current_id, None)
+            self.latency.abandon(self._current_id)
 
 
 class ClosedLoopHttpUser:
@@ -244,6 +255,7 @@ class ClosedLoopHttpUser:
         self.latency = LatencyMeter(self.node.clock)
         self.completed = 0
         self.failed = 0
+        self.bytes_received = 0
         self._running = False
 
     def start(self) -> None:
@@ -264,31 +276,4 @@ class ClosedLoopHttpUser:
     def _issue(self) -> None:
         if not self._running:
             return
-        file = self.mix.sample()
-        request = HttpRequest.get(file.name)
-        self.latency.start(request.request_id)
-
-        def on_connected(sock: TcpSocket) -> None:
-            sock.send(REQUEST_BYTES, message=request)
-
-        def on_message(sock: TcpSocket, message) -> None:
-            if not isinstance(message, HttpResponse):
-                return
-            if self.latency.stop(message.request_id) is not None:
-                self.completed += 1
-            sock.close()
-            self._think_then_issue()
-
-        def on_error(sock: TcpSocket, error: Exception) -> None:
-            self.latency._open.pop(request.request_id, None)
-            self.failed += 1
-            self._think_then_issue()
-
-        self.stack.connect(
-            self.server_addr,
-            self.server_port,
-            options=self.options,
-            on_connected=on_connected,
-            on_message=on_message,
-            on_error=on_error,
-        )
+        _get_once(self, then=self._think_then_issue)

@@ -244,8 +244,6 @@ def run_bulk(
     receiver's clock, so every event carries a virtual timestamp and TDF
     epoch changes are recorded. Recording spans the whole run including
     warmup (so a dilated trace and its baseline's align from event zero).
-    ``trace.point == "receiver"`` cannot be combined with
-    ``collect_interarrivals`` (both claim the same interface's recorder).
 
     ``schedule`` drives the bottleneck link's delay/bandwidth/liveness as
     a piecewise function of *virtual* time

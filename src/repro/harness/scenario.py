@@ -172,9 +172,13 @@ class Scenario:
 
     def boot(self, name: str, node: Optional[Node] = None,
              share: float = 1.0) -> VirtualMachine:
-        """Boot guest ``name`` at the testbed's TDF, hosting ``node``."""
-        return self.vmm.create_vm(name, tdf=self.tdf, cpu_share=share,
-                                  node=node)
+        """Boot guest ``name`` at the testbed's TDF, hosting ``node``;
+        :meth:`vm` finds it under the node's name."""
+        vm = self.vmm.create_vm(name, tdf=self.tdf, cpu_share=share,
+                                node=node)
+        if node is not None:
+            self.vms[node.name] = vm
+        return vm
 
     def impair(self, spec: Optional[ImpairmentSpec], iface, owner) -> None:
         """Attach ``spec``'s chain to ``iface`` on the shard owning

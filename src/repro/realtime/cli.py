@@ -22,6 +22,7 @@ the emulated network.
 from __future__ import annotations
 
 import argparse
+import math
 import socket
 import sys
 import time
@@ -46,6 +47,19 @@ def _parse_endpoint(value: str) -> Tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad port in {value!r}")
+
+
+def _refused(checks: List[Tuple[bool, str]]) -> bool:
+    """Print the first failed ``(ok, message)`` check on stderr.
+
+    Commands run their checks before opening any socket, so bad input
+    exits 2 with one line and never hangs or leaves a traceback.
+    """
+    for ok, message in checks:
+        if not ok:
+            print(message, file=sys.stderr)
+            return True
+    return False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,6 +151,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if _refused([
+        (args.duration == 0 or 0 < args.duration < math.inf,
+         f"--duration must be 0 (until Ctrl-C) or positive and finite, "
+         f"got {args.duration:g}"),
+    ]):
+        return 2
     try:
         perceived = NetworkProfile.from_rtt(
             args.bandwidth_mbps * 1e6, args.rtt_ms / 1000.0
@@ -179,6 +199,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_echo(args: argparse.Namespace) -> int:
+    if _refused([
+        (0 <= args.interval_ms < math.inf,
+         f"--interval-ms must be non-negative and finite, "
+         f"got {args.interval_ms:g}"),
+        (0 < args.timeout < math.inf,
+         f"--timeout must be positive and finite, got {args.timeout:g}"),
+        (args.size >= 0, f"--size must be non-negative, got {args.size}"),
+    ]):
+        return 2
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.settimeout(args.timeout)
     payload = bytes(args.size)
@@ -210,8 +239,13 @@ def _cmd_echo(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    if args.rate <= 0:
-        print("--rate must be positive", file=sys.stderr)
+    if _refused([
+        (0 < args.rate < math.inf,
+         f"--rate must be positive and finite, got {args.rate:g}"),
+        (0 < args.duration < math.inf,
+         f"--duration must be positive and finite, got {args.duration:g}"),
+        (args.size >= 0, f"--size must be non-negative, got {args.size}"),
+    ]):
         return 2
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.setblocking(False)

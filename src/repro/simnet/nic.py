@@ -33,8 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["Interface", "TapFn"]
 
-#: Signature of a trace tap: (event kind, physical time, packet).
-TapFn = Callable[[str, float, Packet], None]
+#: Signature of a packet observer: (event kind, interface, packet, drop
+#: reason). The reason is the taxonomy reason for a "drop" and ``None``
+#: for every other kind; the physical time is ``interface.sim.now``.
+TapFn = Callable[[str, "Interface", Packet, Optional[str]], None]
 
 
 class Interface:
@@ -88,13 +90,12 @@ class Interface:
         #: last found empty. While False the queue is known to be empty,
         #: so a finished transmission idles the wire without polling it.
         self._backlog = False
+        #: Packet observers (a flight recorder's ``record_packet``, a
+        #: FlowMonitor, a test tap), called in attachment order.
         self._taps: List[TapFn] = []
-        #: Optional :class:`repro.trace.recorder.FlightRecorder` (see the
-        #: ``recorder`` property). Default off.
-        self._recorder = None
-        #: True while a recorder or a tap is attached: each packet-event
-        #: site pays this one check and nothing else when both are off,
-        #: so determinism pins and engine benchmarks are unchanged.
+        #: True once an observer is attached: each packet-event site pays
+        #: this one check and nothing else when none is, so determinism
+        #: pins and engine benchmarks are unchanged.
         self._observed = False
         #: Optional impairment pipeline (loss models, reordering,
         #: duplication, corruption); ``None`` costs one attribute
@@ -148,31 +149,19 @@ class Interface:
         self.peer = peer
         peer.peer = self
 
-    @property
-    def recorder(self):
-        """The attached flight recorder, or ``None``."""
-        return self._recorder
-
-    @recorder.setter
-    def recorder(self, recorder) -> None:
-        self._recorder = recorder
-        self._observed = recorder is not None or bool(self._taps)
-
     def add_tap(self, tap: TapFn) -> None:
-        """Attach a trace tap; called on 'enqueue', 'tx', 'rx' and 'drop'."""
-        self._taps.append(tap)
+        """Attach a packet observer, called on 'enqueue', 'tx', 'rx' and
+        'drop' (see :data:`TapFn`). Any number may observe one interface;
+        attaching the same observer again is a no-op."""
+        if tap not in self._taps:
+            self._taps.append(tap)
         self._observed = True
 
-    def _observe(self, kind: str, packet: Packet) -> None:
-        """Report one packet event to the recorder, then to the taps."""
-        if self._recorder is not None:
-            self._recorder.record_packet(kind, self, packet)
-        if self._taps:
-            self._notify(kind, packet)
-
-    def _notify(self, kind: str, packet: Packet) -> None:
+    def _observe(self, kind: str, packet: Packet,
+                 reason: Optional[str] = None) -> None:
+        """Report one packet event to every observer."""
         for tap in self._taps:
-            tap(kind, self.sim._now, packet)
+            tap(kind, self, packet, reason)
 
     def set_loss(self, loss_fn: Optional[Callable[[Packet], bool]]) -> None:
         """Drop every packet for which ``loss_fn(packet)`` is true.
@@ -197,7 +186,7 @@ class Interface:
 
         The fluid fast path (:mod:`repro.simnet.fluid`) may only model a
         hop it can express in closed form: no impairment chain (a
-        :meth:`set_loss` predicate included), tap, recorder or jitter (all
+        :meth:`set_loss` predicate included), observer or jitter (all
         per-packet decisions), no cross-shard egress channel (those
         packets must really cross the boundary inside the lookahead
         window), no schedule change still pending (a closed-form hold
@@ -211,7 +200,6 @@ class Interface:
             and self.egress_channel is None
             and self._impairments is None
             and not self._taps
-            and self._recorder is None
             and self.jitter_s == 0
             and (self.schedule is None or not self.schedule.change_pending)
             and getattr(self.queue, "fluid_transparent", False)
@@ -253,10 +241,8 @@ class Interface:
         counters = self.sim.counters
         key = "drop." + reason
         counters[key] = counters.get(key, 0) + 1
-        if self._recorder is not None:
-            # Unlike taps, the recorder gets the taxonomy reason.
-            self._recorder.record_packet("drop", self, packet, reason)
-        self._notify("drop", packet)
+        if self._observed:
+            self._observe("drop", packet, reason)
 
     def send(self, packet: Packet) -> None:
         """Entry point for the node: queue the packet and kick the transmitter."""

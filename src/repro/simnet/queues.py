@@ -9,8 +9,8 @@ dummynet/netem:
   between ``min_th`` and ``max_th``.
 
 Queues are passive containers: the :class:`~repro.simnet.nic.Interface`
-drains them as the link becomes free. Both disciplines account drops and
-byte/packet counters for the statistics layer.
+drains them as the link becomes free. Both disciplines count accepted
+and dropped packets for the statistics layer.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ class QueueStats:
 
     def __init__(self) -> None:
         self.enqueued_packets = 0
-        self.enqueued_bytes = 0
         self.dropped_packets = 0
-        self.dropped_bytes = 0
-        self.dequeued_packets = 0
 
     @property
     def drop_rate(self) -> float:
@@ -82,23 +79,8 @@ class DropTailQueue:
         """Bytes currently queued."""
         return self._bytes
 
-    def _would_overflow(self, packet: Packet) -> bool:
-        if (
-            self.capacity_packets is not None
-            and len(self._items) >= self.capacity_packets
-        ):
-            return True
-        if (
-            self.capacity_bytes is not None
-            and self._bytes + packet.size_bytes > self.capacity_bytes
-        ):
-            return True
-        return False
-
     def offer(self, packet: Packet) -> bool:
         """Try to enqueue; returns ``False`` (and counts a drop) when full."""
-        # The overflow test is inlined: offer() runs once per packet per
-        # hop and the method-call indirection is measurable there.
         size = packet.size_bytes
         if (
             self.capacity_packets is not None
@@ -108,12 +90,10 @@ class DropTailQueue:
             and self._bytes + size > self.capacity_bytes
         ):
             self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += size
             return False
         self._items.append(packet)
         self._bytes += size
         self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += size
         return True
 
     def poll(self) -> Optional[Packet]:
@@ -122,7 +102,6 @@ class DropTailQueue:
             return None
         packet = self._items.popleft()
         self._bytes -= packet.size_bytes
-        self.stats.dequeued_packets += 1
         return packet
 
 
@@ -240,7 +219,6 @@ class REDQueue:
         self._update_average()
         if len(self._items) >= self.capacity_packets:
             self.stats.dropped_packets += 1
-            self.stats.dropped_bytes += packet.size_bytes
             return False
         if self._early_drop():
             if self.ecn_marking and packet.ecn_capable:
@@ -248,12 +226,10 @@ class REDQueue:
                 self.marked_packets += 1
             else:
                 self.stats.dropped_packets += 1
-                self.stats.dropped_bytes += packet.size_bytes
                 return False
         self._items.append(packet)
         self._bytes += packet.size_bytes
         self.stats.enqueued_packets += 1
-        self.stats.enqueued_bytes += packet.size_bytes
         return True
 
     def poll(self) -> Optional[Packet]:
@@ -261,7 +237,6 @@ class REDQueue:
             return None
         packet = self._items.popleft()
         self._bytes -= packet.size_bytes
-        self.stats.dequeued_packets += 1
         if not self._items:
             self._idle_since = self._now()
         return packet

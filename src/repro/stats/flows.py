@@ -66,10 +66,11 @@ class FlowMonitor:
         """Start observing an interface; may be called on many."""
         wanted = frozenset(kinds)
 
-        def tap(kind: str, time: float, packet: Packet) -> None:
+        def tap(kind: str, interface: Interface, packet: Packet,
+                reason: Optional[str]) -> None:
             if kind not in wanted:
                 return
-            self._observe(kind, time, packet)
+            self._observe(kind, interface.sim.now, packet)
 
         interface.add_tap(tap)
         self.interfaces.append(interface)

@@ -113,6 +113,11 @@ class LatencyMeter:
         self.samples.append(latency)
         return latency
 
+    def abandon(self, key) -> None:
+        """Forget the unfinished timing of ``key`` without taking a
+        sample (an operation that failed); unknown keys are ignored."""
+        self._open.pop(key, None)
+
     @property
     def in_flight(self) -> int:
         """Operations started but not yet stopped."""

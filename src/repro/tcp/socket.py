@@ -34,8 +34,7 @@ from .buffers import ReceiveAssembler, SendBuffer
 from .cc import make_congestion_control
 from .options import TcpOptions
 from .rtt import RttEstimator
-from .segment import (TCP_HEADER_BYTES, TIMESTAMP_OPTION_BYTES, Segment,
-                      segment_wire_bytes)
+from .segment import TCP_HEADER_BYTES, TIMESTAMP_OPTION_BYTES, Segment
 
 __all__ = ["TcpSocket", "CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD",
            "ESTABLISHED", "FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT",
@@ -333,16 +332,6 @@ class TcpSocket:
         """Map a data sequence number to a stream offset (SYN shifts by 1)."""
         return seq - 1
 
-    def _rcv_ack_value(self) -> int:
-        """The cumulative ACK we advertise."""
-        ack = 1 + self.assembler.rcv_nxt
-        if (
-            self._remote_fin_stream is not None
-            and self.assembler.rcv_nxt >= self._remote_fin_stream
-        ):
-            ack += 1  # the FIN itself
-        return ack
-
     # ================================================================== opening
 
     def open_active(self) -> None:
@@ -396,16 +385,6 @@ class TcpSocket:
             # transition to FIN_WAIT_1 happens once we are established.
             return
         self._try_send()
-
-    def abort(self) -> None:
-        """Hard reset the connection (RST to the peer)."""
-        if self.state not in (CLOSED,):
-            self._emit_raw(Segment(
-                src_port=self.local_port, dst_port=self.remote_port,
-                seq=self.snd_nxt, rst=True, ack_flag=True,
-                ack=self._rcv_ack_value(), window=self.assembler.window(),
-            ), segment_wire_bytes(0))
-        self._abort(ProtocolError("aborted locally"), notify=False)
 
     @property
     def fin_stream_offset(self) -> int:
@@ -499,9 +478,9 @@ class TcpSocket:
         retransmission: bool = False,
     ) -> None:
         # Runs once per segment sent, so it calls no helpers: the
-        # cumulative ACK (_rcv_ack_value), the advertised window
-        # (ReceiveAssembler.window), the wire size (segment_wire_bytes),
-        # the send (_emit_raw) and the delayed-ACK disarm are inlined.
+        # cumulative ACK, the advertised window (ReceiveAssembler.window),
+        # the wire size (segment_wire_bytes), the send and the delayed-ACK
+        # disarm are inlined.
         options = self.options
         assembler = self.assembler
         sack_blocks = ()
@@ -593,16 +572,6 @@ class TcpSocket:
             event = self._delack_event
             if event is not None:
                 event.cancel()
-
-    def _emit_raw(self, segment: Segment, wire_bytes: int) -> None:
-        """Send ``segment``, which occupies ``wire_bytes`` of IP payload."""
-        node = self.node
-        self.segments_sent += 1
-        node.send(Packet(
-            node.name, self.remote_addr, "tcp", IP_HEADER_BYTES + wire_bytes,
-            segment, self.flow_id, DEFAULT_TTL, 0.0,
-            self.options.ecn and segment.length > 0,
-        ))
 
     # ============================================================== timers: RTO
 
@@ -1160,10 +1129,10 @@ class TcpSocket:
             self._delack_event = None
         self.stack.forget(self)
 
-    def _abort(self, error: Exception, notify: bool = True) -> None:
+    def _abort(self, error: Exception) -> None:
         already_closed = self.state == CLOSED
         self._become_closed()
-        if notify and not already_closed and self.on_error is not None:
+        if not already_closed and self.on_error is not None:
             self.on_error(self, error)
 
     def info(self) -> dict:

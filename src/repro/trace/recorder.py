@@ -13,7 +13,8 @@ library reports to. It can be attached
 * **simulation-wide** (``attach_network``) — every interface of a
   :class:`~repro.simnet.topology.Network`, plus (optionally) the engine.
 
-Overhead contract: recording is **default-off**. Each instrumented site
+Overhead contract: recording is **default-off**. An interface guards
+its observer list with one flag test; every other instrumented site
 holds a single ``recorder`` slot initialised to ``None`` and guards the
 hook with one ``is None`` check — no event objects, no dict lookups, no
 allocation on the disabled path. The golden determinism pins and the
@@ -96,14 +97,9 @@ class FlightRecorder:
     # ------------------------------------------------------------ attachment
 
     def attach_interface(self, interface: Any) -> "FlightRecorder":
-        """Observe packet events on ``interface`` (one recorder per NIC)."""
-        current = getattr(interface, "recorder", None)
-        if current is not None and current is not self:
-            raise ValueError(
-                f"interface {interface.name!r} already has a recorder "
-                f"({current.name!r}); an interface reports to one recorder"
-            )
-        interface.recorder = self
+        """Observe packet events on ``interface``, beside any other
+        observer it has."""
+        interface.add_tap(self.record_packet)
         return self
 
     def attach_socket(self, sock: Any) -> "FlightRecorder":
@@ -144,7 +140,7 @@ class FlightRecorder:
         self, kind: str, interface: Any, packet: Any,
         reason: Optional[str] = None,
     ) -> None:
-        """Hook target for :class:`~repro.simnet.nic.Interface`."""
+        """Packet observer for :class:`~repro.simnet.nic.Interface`."""
         if self._kinds is not None and kind not in self._kinds:
             return
         if self._flow_id is not None and packet.flow_id != self._flow_id:

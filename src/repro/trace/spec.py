@@ -84,11 +84,3 @@ class TraceSpec:
                     "known: kinds, capacity, tcp, timers"
                 )
         return cls(point=point, **kwargs)
-    def canonical_string(self) -> str:
-        """Round-trippable one-liner (used in filenames and reports)."""
-        parts = [f"kinds={'+'.join(self.kinds)}", f"capacity={self.capacity}"]
-        if self.tcp:
-            parts.append("tcp=1")
-        if self.timers:
-            parts.append("timers=1")
-        return f"{self.point}:{','.join(parts)}"

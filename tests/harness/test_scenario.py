@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.harness.scenario import build_scenario
+from repro.harness.scenario import Scenario, build_scenario
 from repro.simnet.errors import ConfigurationError
+from repro.simnet.topology import Network
 from tests.helpers import Collector
 
 
@@ -105,3 +106,15 @@ def test_vm_lookup_for_undilated_node_raises():
     })
     with pytest.raises(KeyError):
         scenario.vm("x")
+
+
+def test_booted_guest_is_found_under_its_node_name():
+    network = Network()
+    client, server = network.add_node("client"), network.add_node("server")
+    network.add_link(client, server, 1e6, 0.001)
+    network.finalize()
+    testbed = Scenario(network, tdf=10)
+    vm = testbed.boot("server-vm", server, 0.5)
+    assert testbed.vm("server") is vm
+    testbed.run(until=2.0, virtual="server")  # 2 virtual = 20 physical s
+    assert testbed.sim.now == pytest.approx(20.0)

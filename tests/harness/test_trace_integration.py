@@ -132,3 +132,18 @@ def test_figure_cli_trace_bad_spec(tiny_figure, capsys):
     rc = cli.main(["figtest", "--trace", "holodeck"])
     assert rc == 2
     assert "unknown trace point" in capsys.readouterr().err
+
+
+def test_fig5_receiver_trace_yields_the_untraced_figure():
+    # The interarrival collector and the receiver trace observe the same
+    # interface; both must record, and tracing must not move the figure.
+    plain = run_sweep(["fig5"], jobs=1, cache_dir=None)
+    traced = run_sweep(["fig5"], jobs=1, cache_dir=None,
+                       trace=TraceSpec(point="receiver"))
+    assert traced.all_passed
+    assert ([figure.render() for figure in traced.figures]
+            == [figure.render() for figure in plain.figures])
+    assert [key for _, key, _ in traced.traces] == ["tdf1", "tdf10", "tdf100"]
+    for _, _, events in traced.traces:
+        assert events
+        assert {event.site for event in events} == {"d0->rR"}

@@ -47,3 +47,30 @@ def test_serve_on_a_taken_address_exits_2_with_one_line(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["serve", "--duration", "-1"],
+     "--duration must be 0 (until Ctrl-C) or positive and finite, got -1"),
+    (["serve", "--duration", "nan"],
+     "--duration must be 0 (until Ctrl-C) or positive and finite, got nan"),
+    (["loadgen", "127.0.0.1:9", "--duration", "0"],
+     "--duration must be positive and finite, got 0"),
+    (["loadgen", "127.0.0.1:9", "--rate", "0"],
+     "--rate must be positive and finite, got 0"),
+    (["echo", "127.0.0.1:9", "--count", "2", "--interval-ms", "-5"],
+     "--interval-ms must be non-negative and finite, got -5"),
+    (["echo", "127.0.0.1:9", "--timeout", "0"],
+     "--timeout must be positive and finite, got 0"),
+])
+def test_bad_duration_interval_or_timeout_exits_2_before_any_socket(
+        capsys, monkeypatch, argv, message):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened for bad input")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"

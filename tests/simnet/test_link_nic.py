@@ -9,6 +9,8 @@ from repro.simnet.nic import Interface
 from repro.simnet.node import Node
 from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue
+from repro.stats.flows import FlowMonitor
+from repro.trace.recorder import FlightRecorder
 
 
 class Sink:
@@ -183,7 +185,7 @@ def test_taps_see_all_event_kinds():
         sim, queue_factory=lambda: DropTailQueue(capacity_packets=1)
     )
     events = []
-    link.a_to_b.add_tap(lambda kind, t, p: events.append(kind))
+    link.a_to_b.add_tap(lambda kind, iface, p, reason: events.append(kind))
     # Three sends: one serialises, one queues, one drops.
     for _ in range(3):
         a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1250))
@@ -191,3 +193,45 @@ def test_taps_see_all_event_kinds():
     assert events.count("enqueue") == 2
     assert events.count("drop") == 1
     assert events.count("tx") == 2
+
+
+def test_recorder_and_flow_monitor_share_one_interface():
+    sim = Simulator()
+    a, b, link, _ = wire(
+        sim, queue_factory=lambda: DropTailQueue(capacity_packets=1)
+    )
+    egress = link.a_to_b
+    recorder = FlightRecorder(capacity=None).attach_interface(egress)
+    monitor = FlowMonitor()
+    monitor.watch(egress, kinds=("enqueue", "tx", "drop"))
+    seen = []
+    egress.add_tap(lambda kind, iface, p, reason: seen.append((kind, reason)))
+    # Three sends: one serialises, one queues, one drops on the full queue;
+    # a fourth is dropped by the downed interface.
+    for _ in range(3):
+        a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1250,
+                      flow_id="f"))
+    egress.up = False
+    a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1250,
+                  flow_id="f"))
+    egress.up = True
+    sim.run()
+    assert [(event.kind, event.reason) for event in recorder] == seen
+    assert seen.count(("enqueue", None)) == 2
+    assert seen.count(("tx", None)) == 2
+    assert [reason for kind, reason in seen if kind == "drop"] == [
+        "queue", "down"]
+    stats = monitor.flow("f")
+    assert (stats.tx_packets, stats.drops) == (2, 2)
+    assert monitor.interface_drops() == {egress.name: {"queue": 1, "down": 1}}
+
+
+def test_attaching_the_same_observer_twice_is_a_no_op():
+    sim = Simulator()
+    a, b, link, _ = wire(sim)
+    recorder = FlightRecorder()
+    recorder.attach_interface(link.a_to_b)
+    recorder.attach_interface(link.a_to_b)
+    a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1250))
+    sim.run()
+    assert [event.kind for event in recorder] == ["enqueue", "tx"]

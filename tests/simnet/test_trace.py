@@ -1,7 +1,7 @@
 """Packet tracing on one interface: a FlightRecorder as the emulator's tcpdump.
 
-An interface reports its packet events to the single recorder in its
-``recorder`` slot. These tests pin what a per-interface capture records
+An interface reports its packet events to every recorder observing it.
+These tests pin what a per-interface capture records
 (kind and flow filters, virtual stamps, drop reasons) and how
 interarrivals are taken from it, in physical time or re-mapped through
 any clock.
@@ -139,12 +139,17 @@ def test_non_drop_records_have_no_reason():
     assert trace.snapshot()[0].reason is None
 
 
-def test_one_trace_per_interface():
+def test_two_traces_on_one_interface_record_the_same_arrivals():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    capture(link.b_to_a)
-    with pytest.raises(ValueError, match="already has a recorder"):
-        capture(link.b_to_a)
+    everything = capture(link.b_to_a)
+    wanted = capture(link.b_to_a, flow_id="wanted")
+    send_n(a, 2, flow_id="wanted")
+    send_n(a, 1, flow_id="other")
+    sim.run()
+    assert len(everything) == 3
+    assert len(wanted) == 2
+    assert interarrivals(wanted) == interarrivals(everything)[:1]
 
 
 def test_clear_forgets_records():

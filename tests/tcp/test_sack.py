@@ -124,7 +124,7 @@ class TestSackRecovery:
         sb.listen(80, events.on_accept, on_data=events.on_data)
         seen_blocks = []
 
-        def tap(kind, t, packet):
+        def tap(kind, iface, packet, reason):
             segment = packet.payload
             if kind == "rx" and segment.sack:
                 seen_blocks.append(segment.sack)
@@ -153,7 +153,7 @@ class TestSackRecovery:
         sb.listen(80, events.on_accept, on_data=events.on_data)
         seen = []
         link.b_to_a.add_tap(
-            lambda kind, t, p: seen.append(p.payload.sack)
+            lambda kind, iface, p, reason: seen.append(p.payload.sack)
             if kind == "rx" else None
         )
         client = sa.connect("b", 80)

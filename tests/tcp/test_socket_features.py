@@ -17,7 +17,7 @@ class TestNagle:
         sb.listen(80, events.on_accept, on_data=events.on_data)
         segments = []
         link.a_to_b.add_tap(
-            lambda kind, t, p: segments.append(p.payload)
+            lambda kind, iface, p, reason: segments.append(p.payload)
             if kind == "tx" and p.payload.length > 0 else None
         )
         client = sa.connect("b", 80, on_connected=lambda s: None)
@@ -57,7 +57,8 @@ class TestDelayedAck:
         sb.listen(80, events.on_accept, on_data=events.on_data)
         acks = []
         link.b_to_a.add_tap(
-            lambda kind, t, p: acks.append((t, p.payload))
+            lambda kind, iface, p, reason: acks.append(
+                (iface.sim.now, p.payload))
             if kind == "tx" and p.payload.length == 0 and not p.payload.syn
             else None
         )

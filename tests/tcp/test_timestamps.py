@@ -30,7 +30,7 @@ def test_segments_carry_timestamps_on_wire():
         tcp_options=TcpOptions(timestamps=True))
     # 'tx' on the a->b interface observes the client's data segments.
     link.a_to_b.add_tap(
-        lambda kind, t, p: seen.append(p.payload) if kind == "tx" else None
+        lambda kind, iface, p, reason: seen.append(p.payload) if kind == "tx" else None
     )
     events = Collector()
     sb.listen(80, events.on_accept, on_data=events.on_data)
@@ -47,10 +47,10 @@ def test_timestamps_disabled_leaves_fields_none():
     seen = []
     net, a, b, sa, sb, link = two_hosts(tcp_options=TcpOptions())
     link.a_to_b.add_tap(
-        lambda kind, t, p: seen.append(p.payload) if kind == "tx" else None
+        lambda kind, iface, p, reason: seen.append(p.payload) if kind == "tx" else None
     )
     link.b_to_a.add_tap(
-        lambda kind, t, p: seen.append(p.payload) if kind == "tx" else None
+        lambda kind, iface, p, reason: seen.append(p.payload) if kind == "tx" else None
     )
     events = Collector()
     sb.listen(80, events.on_accept, on_data=events.on_data)
@@ -120,7 +120,8 @@ def test_dilated_timestamps_are_virtual():
     options = TcpOptions(timestamps=True)
     stamps = []
     link.a_to_b.add_tap(
-        lambda kind, t, p: stamps.append((t, p.payload.ts_val))
+        lambda kind, iface, p, reason: stamps.append(
+            (iface.sim.now, p.payload.ts_val))
         if kind == "tx" and p.payload.ts_val is not None else None
     )
     received = {"n": 0}

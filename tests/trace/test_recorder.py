@@ -33,8 +33,8 @@ def send_n(a, n, flow_id=None, size=1250):
 def test_default_off():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    assert link.a_to_b.recorder is None
-    assert link.b_to_a.recorder is None
+    assert not link.a_to_b._observed
+    assert not link.b_to_a._observed
     assert sim._recorder is None
     send_n(a, 3)
     sim.run()  # nothing records, nothing breaks
@@ -81,12 +81,17 @@ def test_kind_and_flow_filters():
                for event in recorder)
 
 
-def test_one_recorder_per_interface():
+def test_recorders_on_one_interface_each_record():
     sim = Simulator()
     a, b, link = wired_pair(sim)
-    FlightRecorder(name="first").attach_interface(link.a_to_b)
-    with pytest.raises(ValueError, match="already has a recorder"):
-        FlightRecorder(name="second").attach_interface(link.a_to_b)
+    first = FlightRecorder(name="first").attach_interface(link.a_to_b)
+    second = FlightRecorder(name="second", packet_kinds=("tx",))
+    second.attach_interface(link.a_to_b)
+    send_n(a, 2)
+    sim.run()
+    assert [event.kind for event in first] == ["enqueue", "enqueue",
+                                               "tx", "tx"]
+    assert [event.kind for event in second] == ["tx", "tx"]
 
 
 def test_drop_reason_captured():
@@ -110,8 +115,8 @@ def test_attach_network_covers_every_interface():
         nodes = {"a": a, "b": b}
 
     recorder = FlightRecorder().attach_network(FakeNet())
-    assert link.a_to_b.recorder is recorder
-    assert link.b_to_a.recorder is recorder
+    assert link.a_to_b._taps == [recorder.record_packet]
+    assert link.b_to_a._taps == [recorder.record_packet]
 
 
 def test_engine_timer_events():

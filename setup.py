@@ -17,7 +17,8 @@ setup(
         "console_scripts": [
             "repro-figure=repro.harness.cli:main",
             "repro-trace=repro.trace.cli:main",
+            "repro-realtime=repro.realtime.cli:main",
         ]
     },
-    python_requires=">=3.9",
+    python_requires=">=3.10",
 )

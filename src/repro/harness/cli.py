@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from .figures import CELL_MODEL, figure_ids
-from .runner import DEFAULT_CACHE_DIR, run_sweep
+from .runner import DEFAULT_CACHE_DIR, add_axis_flags, axis_kwargs, run_sweep
 
 __all__ = ["main"]
 
@@ -108,36 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="traces",
         help="directory for --trace recordings (default: traces)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        metavar="N",
-        default=1,
-        help="split each shardable cell across N worker processes with the "
-             "conservative sharded engine (default: 1 = single-process); "
-             "each cell then uses N processes, so budget jobs*shards "
-             "against the core count",
-    )
-    parser.add_argument(
-        "--schedule",
-        metavar="SPEC",
-        help="drive every schedule-capable cell's dynamic link from a "
-             "virtual-time schedule: kind[:key=value,...] with kind one "
-             "of leo/csv — e.g. 'leo:period=2.0,count=3,outage=0.05,"
-             "amp=0.5,dip=0.6' (synthesized handovers) or "
-             "'csv:path=traces/starlink.csv' (rows "
-             "t_s,delay_s[,bandwidth_bps[,up]])",
-    )
-    parser.add_argument(
-        "--fidelity",
-        choices=("packet", "hybrid"),
-        default="packet",
-        help="engine fidelity for fluid-capable cells: 'packet' (default, "
-             "bit-exact golden behaviour) or 'hybrid' (steady-state bulk "
-             "flows advance in a coarse-stepped fluid model and fall back "
-             "to packet level around loss, startup, tail and impairments; "
-             "statistically equivalent, far fewer engine events)",
-    )
+    add_axis_flags(parser)
     return parser
 
 
@@ -152,21 +123,20 @@ def _report(result, args: argparse.Namespace) -> int:
 
 
 def _parse_specs(args: argparse.Namespace):
-    """Parse the three spec flags up front: (trace, schedule) specs.
+    """Parse every axis flag up front: the trace spec and the
+    :func:`~repro.harness.runner.axis_kwargs`.
 
     ``--impair`` is only validated here (figures take it as a string),
     so a malformed spec of any kind fails before a cell runs.
     """
     from ..simnet.impairments import ImpairmentSpec
-    from ..simnet.schedule import ScheduleSpec
     from ..trace.spec import TraceSpec
 
+    axes = axis_kwargs(args)
     if args.impair is not None:
         ImpairmentSpec.parse(args.impair)
     trace = None if args.trace is None else TraceSpec.parse(args.trace)
-    schedule = (None if args.schedule is None
-                else ScheduleSpec.parse(args.schedule))
-    return trace, schedule
+    return trace, axes
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -183,18 +153,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if figure_id not in CELL_MODEL:
             print(f"unknown figure {figure_id!r}; use --list", file=sys.stderr)
             return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
-        return 2
-    try:
-        trace_spec, schedule_spec = _parse_specs(args)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
     # A cached cell has no profile, so --profile-engine runs every cell.
     use_cache = not (args.no_cache or args.profile_engine)
     cache_dir = args.cache_dir if use_cache else None
     try:
+        trace_spec, axes = _parse_specs(args)
         outcome = run_sweep(
             requested,
             jobs=args.jobs,
@@ -202,9 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=cache_dir,
             collect_timings=args.timings or args.profile_engine,
             trace=trace_spec,
-            shards=args.shards,
-            fidelity=args.fidelity,
-            schedule=schedule_spec,
+            **axes,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)

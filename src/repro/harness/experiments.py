@@ -13,6 +13,7 @@ point by point.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -31,7 +32,7 @@ from ..simnet.errors import ConfigurationError
 from ..simnet.impairments import ImpairmentSpec
 from ..simnet.queues import DropTailQueue
 from ..simnet.schedule import ScheduleSpec
-from ..simnet.topology import Dumbbell, Network, build_dumbbell
+from ..simnet.topology import Network, build_dumbbell
 from ..trace.recorder import FlightRecorder
 from ..trace.spec import TraceSpec
 from ..tcp.options import TcpOptions
@@ -46,14 +47,12 @@ __all__ = [
     "BitTorrentResult",
     "StreamingResult",
     "CpuResult",
-    "CrossTrafficResult",
     "DynamicTdfResult",
     "run_bulk",
     "run_web",
     "run_bittorrent",
     "run_starlink",
     "run_cpu_task",
-    "run_bulk_with_cross_traffic",
     "run_dynamic_tdf",
     "default_queue_packets",
     "relative_error",
@@ -97,24 +96,6 @@ def default_queue_packets(profile: NetworkProfile,
     if snapped > 0 and abs(packets - snapped) < 1e-9 * snapped:
         packets = snapped
     return int(min(max(packets, 20), 4000))
-
-
-def _dumbbell(perceived: NetworkProfile, factor, pairs: int,
-              queue_packets: int) -> Dumbbell:
-    """``pairs`` sender/receiver pairs across the perceived bottleneck,
-    rescaled to ``factor``; access links are 10x faster with ~zero delay."""
-    physical = physical_for(perceived, factor)
-    access = physical_for(
-        NetworkProfile(perceived.bandwidth_bps * 10, 1e-5), factor
-    )
-    return build_dumbbell(
-        pairs=pairs,
-        access_bandwidth_bps=access.bandwidth_bps,
-        bottleneck_bandwidth_bps=physical.bandwidth_bps,
-        bottleneck_delay_s=physical.delay_s,
-        access_delay_s=access.delay_s,
-        queue_factory=lambda: DropTailQueue(capacity_packets=queue_packets),
-    )
 
 
 def _two_hosts(a: str, b: str, bandwidth_bps: float, delay_s: float,
@@ -173,6 +154,9 @@ class BulkFlowResult:
     bottleneck_drops: Dict[str, int] = field(default_factory=dict)
     #: Corrupted segments discarded by the receivers' checksum validation.
     checksum_drops: int = 0
+    #: Rate the CBR cross traffic delivered after warmup, virtual bits per
+    #: second (0.0 without cross traffic).
+    cross_rate_bps: float = 0.0
     #: Flight-recorder events (empty unless the run was given a TraceSpec).
     trace_events: List = field(default_factory=list)
     #: Per-shard barrier accounting when the run was sharded (empty for
@@ -194,6 +178,7 @@ def run_bulk(
     warmup_s: float = 0.0,
     collect_interarrivals: bool = False,
     mss: int = 1460,
+    cross_share: float = 0.0,
     impair: Optional[ImpairmentSpec] = None,
     schedule: Optional[ScheduleSpec] = None,
     trace: Optional[TraceSpec] = None,
@@ -209,6 +194,13 @@ def run_bulk(
     ``flows=3`` this is also the paper's consolidation setup (ext2):
     several dilated guests multiplexed on one machine, contending for its
     shared uplink.
+
+    ``cross_share > 0`` adds one more pair after the TCP pairs: a UDP
+    :class:`~repro.apps.crosstraffic.CbrSource` sending 1000-byte
+    datagrams at ``cross_share`` of the perceived bottleneck rate to a
+    sink on port 9000 (ext1). The source runs inside a dilated guest like
+    everything else, so a dilated run and its baseline offer the same
+    virtual-time load; ``cross_rate_bps`` is its post-warmup delivered rate.
 
     ``realtime=True`` paces the run against the wall clock with a
     :class:`repro.realtime.driver.RealtimeDriver`: every event fires at
@@ -262,8 +254,10 @@ def run_bulk(
     sharded worker executes under.
     """
     if shards != 1 and _shard is None:
-        return _run_sharded("run_bulk", locals(),
-                            _bulk_assignment(flows, shards), _merge_bulk)
+        return _run_sharded(
+            "run_bulk", locals(),
+            _bulk_assignment(flows + (cross_share > 0), shards), _merge_bulk,
+        )
     factor = as_tdf(tdf)
     # Sized from the perceived profile: the BDP in packets is
     # dilation-invariant, and the perceived numbers are TDF-free so the
@@ -273,13 +267,26 @@ def run_bulk(
         if queue_packets is not None
         else default_queue_packets(perceived, frame_bytes=mss + 40)
     )
-    bell = _dumbbell(perceived, factor, flows, queue)
+    # Access links are 10x faster than the bottleneck with ~zero delay.
+    physical = physical_for(perceived, factor)
+    access = physical_for(
+        NetworkProfile(perceived.bandwidth_bps * 10, 1e-5), factor
+    )
+    pairs = flows + (cross_share > 0)
+    bell = build_dumbbell(
+        pairs=pairs,
+        access_bandwidth_bps=access.bandwidth_bps,
+        bottleneck_bandwidth_bps=physical.bandwidth_bps,
+        bottleneck_delay_s=physical.delay_s,
+        access_delay_s=access.delay_s,
+        queue_factory=lambda: DropTailQueue(capacity_packets=queue),
+    )
     bed = Scenario(bell.network, factor, schedule=schedule,
                    schedule_link=bell.bottleneck, shard=_shard,
                    fidelity=fidelity, realtime=realtime, trace=trace)
     bottleneck_egress = bell.bottleneck.interface_from(bell.router_left)
     bed.impair(impair, bottleneck_egress, bell.router_left)
-    share = 1.0 / (2 * flows)
+    share = 1.0 / (2 * pairs)
     options = _bulk_options(perceived, flavor, mss)
     servers: List[IperfServer] = []
     clients: List[IperfClient] = []
@@ -308,6 +315,19 @@ def run_bulk(
             if bed.owns(bell.senders[index])
             else None
         )
+    sink = cross = None
+    if cross_share > 0:
+        source_node, sink_node = bell.senders[flows], bell.receivers[flows]
+        bed.boot(f"snd{flows}", source_node, share)
+        bed.boot(f"rcv{flows}", sink_node, share)
+        if bed.owns(sink_node):
+            sink = UdpSink(UdpStack(sink_node), 9000)
+        if bed.owns(source_node):
+            cross = CbrSource(
+                UdpStack(source_node), sink_node.name, 9000,
+                rate_bps=perceived.bandwidth_bps * cross_share,  # virtual
+                packet_bytes=1000, flow_id="cross",
+            )
     arrivals = None
     if collect_interarrivals and bed.owns(bell.receivers[0]):
         # Unbounded, so no arrival of the measured window is evicted.
@@ -328,15 +348,20 @@ def run_bulk(
     for client in clients:
         if client is not None:
             client.start()
+    if cross is not None:
+        cross.start()
     if recorder is not None and trace.tcp and clients[0] is not None:
         recorder.attach_socket(clients[0].socket)
     warmup_bytes = [0] * flows
+    cross_start = 0
     if warmup_s > 0:
         bed.run(receiver_vm.clock.to_physical(warmup_s))
         warmup_bytes = [
             server.total_bytes if server is not None else 0
             for server in servers
         ]
+        if sink is not None:
+            cross_start = sink.bytes_received
         if arrivals is not None:
             arrivals.clear()
     bed.run(receiver_vm.clock.to_physical(duration_s))
@@ -376,6 +401,10 @@ def run_bulk(
             server.stack.checksum_drops
             for server in servers
             if server is not None
+        ),
+        cross_rate_bps=(
+            (sink.bytes_received - cross_start) * 8 / span
+            if sink is not None else 0.0
         ),
     ))
 
@@ -543,6 +572,10 @@ def run_bittorrent(
     cross-leaf timestamp ties, which ``delay_salt`` guarantees. ``_shard``
     is internal.
     """
+    if not 0.0 <= delay_salt < math.inf:
+        raise ConfigurationError(
+            f"delay_salt must be finite and >= 0: {delay_salt}"
+        )
     if shards != 1 and _shard is None:
         return _run_sharded("run_bittorrent", locals(),
                             _swarm_assignment(leechers, shards),
@@ -759,66 +792,6 @@ def run_starlink(
     ))
 
 
-# ========================================================== cross traffic
-
-
-@dataclass
-class CrossTrafficResult:
-    """Metrics from a TCP flow competing with UDP cross traffic."""
-
-    tcp_goodput_bps: float
-    cross_rate_bps: float
-    tcp_retransmits: int
-
-
-def run_bulk_with_cross_traffic(
-    perceived: NetworkProfile,
-    tdf: TdfLike,
-    duration_s: float,
-) -> CrossTrafficResult:
-    """One TCP flow sharing the bottleneck with a CBR stream.
-
-    The CBR source takes 30% of the perceived bottleneck; TCP should
-    settle near the remainder. The generator runs inside a dilated guest
-    like everything else, so the dilated and baseline runs offer
-    identical (virtual-time) background load. Rates are measured after a
-    1-virtual-second warmup.
-    """
-    factor = as_tdf(tdf)
-    bell = _dumbbell(perceived, factor, 2, default_queue_packets(perceived))
-    bed = Scenario(bell.network, factor)
-    vms = []
-    for index in range(2):
-        vms.append(bed.boot(f"snd{index}", bell.senders[index], 0.2))
-        vms.append(bed.boot(f"rcv{index}", bell.receivers[index], 0.2))
-    options = TcpOptions()
-    server = IperfServer(TcpStack(bell.receivers[0]), options=options)
-    client = IperfClient(
-        TcpStack(bell.senders[0]), bell.receivers[0].name,
-        total_bytes=_transfer_bytes(perceived, duration_s), options=options,
-    )
-    sink = UdpSink(UdpStack(bell.receivers[1]), 9000)
-    cross = CbrSource(
-        UdpStack(bell.senders[1]), bell.receivers[1].name, 9000,
-        rate_bps=perceived.bandwidth_bps * 0.3,  # virtual rate
-        packet_bytes=1000,
-    )
-    client.start()
-    cross.start()
-    receiver_vm = vms[1]
-    warmup_s = 1.0
-    bed.run(receiver_vm.clock.to_physical(warmup_s))
-    tcp_at_warmup = server.total_bytes
-    cross_at_warmup = sink.bytes_received
-    bed.run(receiver_vm.clock.to_physical(duration_s))
-    span = duration_s - warmup_s
-    return CrossTrafficResult(
-        tcp_goodput_bps=(server.total_bytes - tcp_at_warmup) * 8 / span,
-        cross_rate_bps=(sink.bytes_received - cross_at_warmup) * 8 / span,
-        tcp_retransmits=client.socket.retransmits if client.socket else 0,
-    )
-
-
 # ============================================================= guest programs
 
 
@@ -1021,7 +994,7 @@ def _run_sharded(runner: str, params: Dict[str, Any],
     return merge(results, stats)
 
 
-def _bulk_assignment(flows: int, shards: int) -> Dict[str, int]:
+def _bulk_assignment(pairs: int, shards: int) -> Dict[str, int]:
     """Split the dumbbell at the bottleneck: senders left, receivers right.
 
     The bottleneck link is the topology's only positive-lookahead cut, so
@@ -1033,7 +1006,7 @@ def _bulk_assignment(flows: int, shards: int) -> Dict[str, int]:
             f"partitionable cut is the bottleneck link); got {shards}"
         )
     assignment = {"rL": 0, "rR": 1}
-    for index in range(flows):
+    for index in range(pairs):
         assignment[f"s{index}"] = 0
         assignment[f"d{index}"] = 1
     return assignment
@@ -1115,6 +1088,7 @@ def _merge_bulk(results: List[BulkFlowResult],
         fast_recoveries=sum(r.fast_recoveries for r in results),
         bottleneck_drops=drops,
         checksum_drops=sum(r.checksum_drops for r in results),
+        cross_rate_bps=sum(r.cross_rate_bps for r in results),
         trace_events=_merge_trace_events(results),
         shard_stats=list(stats),
     )
@@ -1163,7 +1137,6 @@ RUNNERS = {
     "run_bittorrent": run_bittorrent,
     "run_starlink": run_starlink,
     "run_cpu_task": run_cpu_task,
-    "run_bulk_with_cross_traffic": run_bulk_with_cross_traffic,
     "run_guest_build_job": run_guest_build_job,
     "run_dynamic_tdf": run_dynamic_tdf,
 }

@@ -19,6 +19,9 @@ This module exploits that:
 * :func:`apply_axes` — threads the sweep axes (``--trace``, ``--shards``,
   ``--fidelity``, ``--schedule``) into each cell whose runner's signature
   takes them (:func:`accepts`), and is the one place an axis is refused;
+  :func:`add_axis_flags` / :func:`axis_kwargs` are the one command-line
+  form of ``--shards``/``--fidelity``/``--schedule`` (``repro-figure``
+  and ``repro-trace capture`` both use them);
 * :class:`ResultCache` — a content-addressed on-disk cache
   (``.repro-cache/``), keyed by a hash of the cell spec plus the package
   version, so re-running ``all`` after an interrupt — or after editing
@@ -39,6 +42,7 @@ bit-exact on representative figures.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import functools
 import hashlib
@@ -54,6 +58,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..parallel.shard import DEFAULT_DELAY_SALT
 from ..simnet.errors import ConfigurationError
+from ..simnet.schedule import ScheduleSpec
 from ..trace.spec import TraceSpec
 from .report import FigureResult, Table
 
@@ -65,7 +70,9 @@ __all__ = [
     "ResultCache",
     "SweepOutcome",
     "accepts",
+    "add_axis_flags",
     "apply_axes",
+    "axis_kwargs",
     "canonical",
     "execute_cell",
     "run_sweep",
@@ -421,6 +428,46 @@ AXES: Dict[str, Tuple[Any, str]] = {
     "schedule": (None, "schedule-capable"),
     "delay_salt": (None, "saltable"),
 }
+
+
+def add_axis_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the runner-axis flags ``--shards``, ``--fidelity`` and
+    ``--schedule``; :func:`axis_kwargs` reads them back."""
+    parser.add_argument(
+        "--shards", type=int, metavar="N", default=1,
+        help="split each shardable cell across N worker processes with the "
+             "conservative sharded engine (default: 1 = single-process); "
+             "each cell then uses N processes, so budget jobs*shards "
+             "against the core count",
+    )
+    parser.add_argument(
+        "--fidelity", choices=("packet", "hybrid"), default="packet",
+        help="engine fidelity for fluid-capable cells: 'packet' (default, "
+             "bit-exact golden behaviour) or 'hybrid' (steady-state bulk "
+             "flows advance in a coarse-stepped fluid model and fall back "
+             "to packet level around loss, startup, tail and impairments; "
+             "statistically equivalent, far fewer engine events)",
+    )
+    parser.add_argument(
+        "--schedule", metavar="SPEC",
+        help="drive every schedule-capable cell's dynamic link from a "
+             "virtual-time schedule: kind[:key=value,...] with kind one "
+             "of leo/csv — e.g. 'leo:period=2.0,count=3,outage=0.05,"
+             "amp=0.5,dip=0.6' (synthesized handovers) or "
+             "'csv:path=traces/starlink.csv' (rows "
+             "t_s,delay_s[,bandwidth_bps[,up]])",
+    )
+
+
+def axis_kwargs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The :func:`apply_axes` keywords for the flags of
+    :func:`add_axis_flags`; a bad value raises one-line ``ValueError``."""
+    if args.shards < 1:
+        raise ValueError(f"--shards must be >= 1: {args.shards}")
+    schedule = (None if args.schedule is None
+                else ScheduleSpec.parse(args.schedule))
+    return {"shards": args.shards, "fidelity": args.fidelity,
+            "schedule": schedule}
 
 
 @functools.lru_cache(maxsize=None)

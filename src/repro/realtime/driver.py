@@ -217,10 +217,6 @@ class RealtimeDriver:
         self._sources.append(source)
         return source
 
-    def remove_source(self, source: Any) -> None:
-        if source in self._sources:
-            self._sources.remove(source)
-
     def _poll_sources(self) -> int:
         injected = 0
         for source in self._sources:

@@ -117,9 +117,10 @@ class Interface:
         self.tx_packets = 0
         self.rx_bytes = 0
         self.rx_packets = 0
-        #: Cross-shard egress: when the peer interface lives in another
-        #: worker process, the sharded runner installs a
-        #: :class:`repro.parallel.shard.ShardChannel` here and finished
+        #: Sharded egress: in a sharded run the worker owning this
+        #: interface installs a :mod:`repro.parallel.shard` channel here —
+        #: ``_LocalChannel`` when the peer is in the same worker,
+        #: ``_RemoteChannel`` when it lives in another — and finished
         #: transmissions are handed to it (with the propagation delay
         #: already applied) instead of being scheduled on the local engine.
         #: ``None`` — the only state in a single-process run — costs one

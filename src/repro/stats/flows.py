@@ -10,7 +10,7 @@ monitor owned by a dilated guest reports virtual timings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..simnet.clock import Clock
 from ..simnet.nic import Interface
@@ -56,24 +56,27 @@ class FlowMonitor:
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock
         self.flows: Dict[str, FlowStats] = {}
-        #: Interfaces under observation, for the drop-taxonomy summary.
-        self.interfaces: List[Interface] = []
+        #: Interfaces under observation (each once, in watch order) and
+        #: the packet kinds observed on each.
+        self.interfaces: Dict[Interface, Set[str]] = {}
         #: TCP sockets registered via :meth:`track_socket`.
         self.sockets: List[object] = []
 
     def watch(self, interface: Interface,
               kinds: Iterable[str] = ("rx", "tx", "drop")) -> None:
-        """Start observing an interface; may be called on many."""
-        wanted = frozenset(kinds)
+        """Start observing an interface; may be called on many.
 
-        def tap(kind: str, interface: Interface, packet: Packet,
-                reason: Optional[str]) -> None:
-            if kind not in wanted:
-                return
+        Watching an interface again widens the kinds observed there. Every
+        watch attaches the same observer, so the interface ignores the
+        repeat and each packet is still counted once.
+        """
+        self.interfaces.setdefault(interface, set()).update(kinds)
+        interface.add_tap(self._tap)
+
+    def _tap(self, kind: str, interface: Interface, packet: Packet,
+             reason: Optional[str]) -> None:
+        if kind in self.interfaces[interface]:
             self._observe(kind, interface.sim.now, packet)
-
-        interface.add_tap(tap)
-        self.interfaces.append(interface)
 
     def _observe(self, kind: str, time: float, packet: Packet) -> None:
         flow_id = packet.flow_id if packet.flow_id is not None else UNLABELLED

@@ -386,11 +386,6 @@ class TcpSocket:
             return
         self._try_send()
 
-    @property
-    def fin_stream_offset(self) -> int:
-        """Stream offset at which our FIN sits (== final stream length)."""
-        return self.send_buffer.stream_length
-
     def _fin_seq(self) -> int:
         return self.send_buffer.stream_length + 1
 

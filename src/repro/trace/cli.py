@@ -22,6 +22,7 @@ import os
 import sys
 from typing import List, Optional
 
+from ..harness.runner import add_axis_flags
 from .diff import DEFAULT_TIME_TOLERANCE, diff_traces, summarize_events
 from .events import load_jsonl, save_jsonl
 from .pcap import export_pcap
@@ -56,30 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR", default="traces",
         help="output directory (default: traces)",
     )
-    capture.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run shardable cells on N worker processes with the "
-             "conservative sharded engine (default: 1); the CI shard tier "
-             "captures the same cell at --shards 1 and 2 and diffs the "
-             "recordings to pin event-for-event identity",
-    )
-    capture.add_argument(
-        "--fidelity",
-        choices=("packet", "hybrid"),
-        default="packet",
-        help="engine fidelity for fluid-capable cells: 'packet' (default, "
-             "bit-exact golden behaviour) or 'hybrid' (fluid fast path for "
-             "steady-state bulk); capture both and diff to see exactly "
-             "where the fluid engine coarsens the packet timeline",
-    )
-    capture.add_argument(
-        "--schedule", metavar="SPEC", default=None,
-        help="drive each cell's dynamic link from a virtual-time schedule, "
-             "kind[:key=value,...] with kind leo or csv (e.g. "
-             "'leo:period=1.0,count=4,outage=0.03'); the CI schedule tier "
-             "captures the same scheduled cell at --shards 1 and 2 and "
-             "diffs the recordings to zero divergence",
-    )
+    add_axis_flags(capture)
     capture.add_argument(
         "--salt", type=float, default=None, metavar="S",
         help="explicit delay_salt for swarm cells (run_bittorrent only). "
@@ -135,17 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_capture(args: argparse.Namespace) -> int:
     from ..harness.figures import CELL_MODEL
-    from ..harness.runner import accepts, apply_axes, execute_cell
-    from ..simnet.schedule import ScheduleSpec
+    from ..harness.runner import accepts, apply_axes, axis_kwargs, execute_cell
 
     try:
         model = CELL_MODEL[args.figure]
     except KeyError:
         print(f"unknown figure {args.figure!r}; known: "
               + ", ".join(CELL_MODEL), file=sys.stderr)
-        return 2
-    if args.shards < 1:
-        print(f"--shards must be >= 1: {args.shards}", file=sys.stderr)
         return 2
     cells = model.cells(None)
     if args.cells:
@@ -159,24 +133,26 @@ def _cmd_capture(args: argparse.Namespace) -> int:
         cells = [by_key[key] for key in wanted]
     else:
         cells = [spec for spec in cells if accepts(spec.runner, "trace")]
+    # A refusal — of an axis while planning, or by a runner while a cell
+    # runs (a shard count its topology cannot cut, a bad salt) — is one
+    # line on stderr and exit 2.
     try:
         cells = apply_axes(
             cells, args.figure, every_cell=True,
-            trace=TraceSpec.parse(args.spec), shards=args.shards,
-            fidelity=args.fidelity, delay_salt=args.salt,
-            schedule=(None if args.schedule is None
-                      else ScheduleSpec.parse(args.schedule)),
+            trace=TraceSpec.parse(args.spec), delay_salt=args.salt,
+            **axis_kwargs(args),
         )
+        for spec in cells:
+            result, _ = execute_cell(spec)
+            events = getattr(result, "trace_events", []) or []
+            os.makedirs(args.out, exist_ok=True)
+            path = os.path.join(args.out,
+                                f"{spec.figure_id}-{spec.key}.jsonl")
+            save_jsonl(events, path)
+            print(f"{path}: {len(events)} events")
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    for spec in cells:
-        result, _ = execute_cell(spec)
-        events = getattr(result, "trace_events", []) or []
-        path = os.path.join(args.out, f"{spec.figure_id}-{spec.key}.jsonl")
-        save_jsonl(events, path)
-        print(f"{path}: {len(events)} events")
     return 0
 
 

@@ -28,7 +28,6 @@ CAPABILITIES = {
     "run_starlink": {"schedule"},
     "run_web": set(),
     "run_cpu_task": set(),
-    "run_bulk_with_cross_traffic": set(),
     "run_guest_build_job": set(),
     "run_dynamic_tdf": set(),
 }

@@ -11,6 +11,7 @@ from repro.harness.experiments import (
     run_cpu_task,
     run_web,
 )
+from repro.simnet.errors import ConfigurationError
 from repro.simnet.units import mbps, ms
 
 
@@ -97,6 +98,24 @@ class TestRunBulk:
         )
         assert result.srtt == pytest.approx(0.060, rel=0.5)
 
+    @pytest.mark.parametrize("tdf", [1, 10])
+    def test_ext1_cross_traffic_cells_keep_their_values(self, tdf):
+        """ext1's cells, pinned to the exact values the dedicated
+        cross-traffic runner they replaced produced at TDF 1 and 10."""
+        result = run_bulk(
+            NetworkProfile.from_rtt(mbps(20), ms(40)), tdf,
+            duration_s=6.0, warmup_s=1.0, cross_share=0.3,
+        )
+        assert result.goodput_bps == 13219177.6
+        assert result.cross_rate_bps == 5976000.0
+        assert result.retransmits == 72
+
+    def test_no_cross_traffic_by_default(self):
+        result = run_bulk(
+            NetworkProfile.from_rtt(mbps(10), ms(20)), 1, duration_s=0.5,
+        )
+        assert result.cross_rate_bps == 0.0
+
 
 class TestRunWeb:
     def test_underload_completes_everything(self):
@@ -129,6 +148,15 @@ class TestRunBitTorrent:
         assert len(result.download_times_s) == 3
         assert result.download_times_s == sorted(result.download_times_s)
         assert result.total_downloaded_bytes >= 3 * 256 * 1024
+
+    @pytest.mark.parametrize("salt", [float("nan"), float("inf"), -1e-6])
+    def test_bad_delay_salt_refused_by_name(self, salt):
+        with pytest.raises(ConfigurationError,
+                           match="delay_salt must be finite and >= 0"):
+            run_bittorrent(
+                NetworkProfile.from_rtt(mbps(10), ms(10)), 1,
+                leechers=3, file_bytes=256 * 1024, seed=2, delay_salt=salt,
+            )
 
 
 class TestRunCpu:

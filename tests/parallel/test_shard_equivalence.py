@@ -73,6 +73,24 @@ def test_unsalted_symmetric_bulk_event_for_event_identical():
     assert report.events_compared > 0
 
 
+def test_bulk_with_cross_traffic_event_for_event_identical():
+    """ext1's CBR pair is split at the bottleneck like the TCP pairs, so
+    its sharded run matches the single-process one to the trace level."""
+    kwargs = dict(perceived=BULK_PROFILE, tdf=1, duration_s=3.0,
+                  warmup_s=1.0, cross_share=0.3,
+                  trace=TraceSpec(point="bottleneck"))
+    single = run_bulk(**kwargs)
+    sharded = run_bulk(**kwargs, shards=2)
+    assert single.cross_rate_bps > 0
+    assert _fields(sharded) == _fields(single)
+    assert sharded.events_processed == single.events_processed
+    report = diff_traces(single.trace_events, sharded.trace_events)
+    assert report.identical, report.render(
+        label_a="shards=1", label_b="shards=2"
+    )
+    assert report.events_compared > 0
+
+
 @pytest.mark.parametrize("shards", [2, 3])
 def test_salted_swarm_identical_across_shard_counts(shards):
     kwargs = dict(perceived_leaf=PROFILE, tdf=1, leechers=4,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.clock import DilatedClock
+from repro.simnet.packet import Packet
 from repro.simnet.queues import DropTailQueue
 from repro.simnet.topology import Network
 from repro.simnet.units import mbps, ms
@@ -140,3 +141,36 @@ def test_tcp_summary_aggregates_tracked_sockets():
     assert summary["retransmits"] == sock.retransmits > 0
     assert summary["dupacks_received"] == sock.dupacks_received
     assert summary["fast_recoveries"] == sock.fast_recoveries
+
+
+def test_watching_an_interface_twice_counts_each_packet_once():
+    net = Network()
+    a = net.add_node("a")
+    b = net.add_node("b")
+    link = net.add_link(a, b, mbps(10), ms(5))
+    net.finalize()
+    monitor = FlowMonitor()
+    monitor.watch(link.a_to_b, kinds=("tx",))
+    monitor.watch(link.a_to_b, kinds=("tx", "drop"))
+    for _ in range(3):
+        a.send(Packet(src="a", dst="b", protocol="raw", size_bytes=1000,
+                      flow_id="f"))
+    net.run()
+    assert monitor.flow("f").tx_packets == 3
+    assert list(monitor.interfaces) == [link.a_to_b]
+    assert monitor.interfaces[link.a_to_b] == {"tx", "drop"}
+
+
+def test_a_second_watch_widens_the_kinds_observed():
+    net = Network()
+    a = net.add_node("a")
+    b = net.add_node("b")
+    link = net.add_link(a, b, mbps(10), ms(5))
+    net.finalize()
+    monitor = FlowMonitor()
+    monitor.watch(link.b_to_a, kinds=("rx",))
+    monitor.watch(link.b_to_a, kinds=("tx",))
+    b.send(Packet(src="b", dst="a", protocol="raw", size_bytes=1000,
+                  flow_id="f"))
+    net.run()
+    assert monitor.flow("f").tx_packets == 1

@@ -256,6 +256,24 @@ def test_capture_refuses_bad_input_before_any_cell(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["capture", "fig9", "--cells", "tdf1", "--salt", "nan"],
+     "delay_salt must be finite and >= 0: nan"),
+    (["capture", "fig9", "--cells", "tdf1", "--salt", "-1"],
+     "delay_salt must be finite and >= 0: -1.0"),
+    (["capture", "fig5", "--cells", "tdf1", "--shards", "3"],
+     "run_bulk supports exactly 2 shards"),
+], ids=["salt-nan", "salt-negative", "bulk-shards-3"])
+def test_capture_runner_refusal_is_one_line(argv, message, tmp_path, capsys):
+    """A value only the runner can refuse exits 2 with its one line, the
+    same as a refusal while the capture is planned."""
+    assert trace_cli.main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [err.strip()]
+    assert message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_diff_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     present = tmp_path / "yes.jsonl"

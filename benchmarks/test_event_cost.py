@@ -22,6 +22,10 @@ Cells:
 ``ext6-leo-tdf10``    an ext6-style stream at TDF 10 for 20 virtual
                       seconds under a repeated LEO handover schedule:
                       UDP, the link schedule and the smallest packets.
+``swarm25-tdf1``      a 25-leecher, 16-piece swarm run to completion
+                      (swarm-100's peers at a quarter of the count):
+                      thousands of short connections, so every timer
+                      armed on an idle slot allocates an Event.
 
 Results land in ``BENCH_event_cost.json`` at the repository root.
 """
@@ -35,7 +39,7 @@ import sys
 from pathlib import Path
 
 from repro.core.dilation import NetworkProfile
-from repro.harness.experiments import run_bulk, run_starlink
+from repro.harness.experiments import run_bittorrent, run_bulk, run_starlink
 from repro.simnet.engine import Simulator
 from repro.simnet.schedule import ScheduleSpec
 from repro.simnet.units import mbps, ms
@@ -53,6 +57,10 @@ CELLS = {
         schedule=ScheduleSpec(kind="leo", period_s=2.0, count=9,
                               outage_s=0.05, amplitude=0.5),
         frame_interval_s=0.020,
+    ),
+    "swarm25-tdf1": lambda: run_bittorrent(
+        NetworkProfile.from_rtt(mbps(10), ms(20)), 1, leechers=25,
+        file_bytes=1 << 20, piece_bytes=65536, seed=1,
     ),
 }
 

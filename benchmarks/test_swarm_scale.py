@@ -23,7 +23,9 @@ Three parts, all landing in ``BENCH_swarm.json`` at the repo root:
   split by layer, and the tcp layer's bytes per ``TcpSocket`` and the
   apps layer's bytes per BitTorrent connection record. Time dilation
   stretches bandwidth and CPU but not memory, so these bound how many
-  endpoints one host can emulate.
+  endpoints one host can emulate. A 1,000-leecher swarm runs alongside
+  in a fresh interpreter, so its max RSS is its own: max RSS, wall time,
+  events/sec and connections.
 
 The legacy classes below are faithful copies of the seed hot paths
 (docstrings trimmed) so the comparison never drifts as the live code
@@ -35,7 +37,10 @@ from __future__ import annotations
 import gc
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -160,7 +165,7 @@ class LegacyPeer(Peer):
     def _register(self, sock):
         connection = LegacyConnection(socket=sock)
         self._connections.append(connection)
-        self._by_socket[id(sock)] = connection
+        self._by_socket[sock] = connection
         return connection
 
     def _request(self, connection, piece):
@@ -184,7 +189,7 @@ class LegacyPeer(Peer):
             self._fill_pipelines()
 
     def _on_message(self, sock, message):
-        connection = self._by_socket.get(id(sock))
+        connection = self._by_socket.get(sock)
         if connection is None:
             return
         if isinstance(message, Bitfield):
@@ -570,3 +575,63 @@ def test_swarm_memory_per_connection(cpu_count):
     # Report-only: no bar is asserted, so ``speedup_asserted`` (the
     # other sections' stamp) is left as they wrote it.
     _update_bench("memory", payload, {"cpu_count": cpu_count})
+
+
+# --------------------------------------------------------------------------
+# A 1,000-leecher swarm's max RSS (report-only).
+# --------------------------------------------------------------------------
+
+#: (leechers, file_bytes, piece_bytes): a small file keeps the run near a
+#: minute while every peer still fills its connection cap.
+LARGE_SWARM = (1000, 256 * 1024, 16 * 1024)
+
+#: Runs the large swarm and prints one JSON line. A fresh interpreter's
+#: ``ru_maxrss`` is the run's own peak, not the test process's.
+_LARGE_SWARM_SCRIPT = """
+import json, resource, sys, time
+from repro.core.dilation import NetworkProfile
+from repro.harness.experiments import run_bittorrent
+from repro.simnet.units import mbps, ms
+leechers, file_bytes, piece_bytes = map(int, sys.argv[1:4])
+start = time.perf_counter()
+result = run_bittorrent(
+    NetworkProfile.from_rtt(mbps(10), ms(20)), 1, leechers=leechers,
+    file_bytes=file_bytes, seed=4242, piece_bytes=piece_bytes,
+)
+wall = time.perf_counter() - start
+print(json.dumps({
+    "wall_s": wall,
+    "events": result.events_processed,
+    "completed": result.completed,
+    "connections_total": result.connections_total,
+    "max_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def test_large_swarm_max_rss(cpu_count):
+    leechers, file_bytes, piece_bytes = LARGE_SWARM
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _LARGE_SWARM_SCRIPT,
+         str(leechers), str(file_bytes), str(piece_bytes)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    row = json.loads(out.stdout.strip().splitlines()[-1])
+    assert row["completed"] == leechers
+    payload = {
+        "leechers": leechers,
+        "file_bytes": file_bytes,
+        "piece_bytes": piece_bytes,
+        "max_rss_mib": round(row["max_rss_mib"], 1),
+        "wall_s": round(row["wall_s"], 1),
+        "events": row["events"],
+        "events_per_sec": round(row["events"] / row["wall_s"]),
+        "connections_total": row["connections_total"],
+    }
+    print(f"\nn={leechers}: max RSS {payload['max_rss_mib']} MiB, "
+          f"{payload['wall_s']} s wall, {payload['events']:,} events, "
+          f"{payload['events_per_sec']:,} ev/s, "
+          f"{payload['connections_total']:,} connections")
+    # Report-only, like the memory section.
+    _update_bench("memory_large_swarm", payload, {"cpu_count": cpu_count})

@@ -147,7 +147,8 @@ class Peer:
         self._pending: Dict[int, _Connection] = {}
         self._pending_since: Dict[int, float] = {}
         self._connections: List[_Connection] = []
-        self._by_socket: Dict[int, _Connection] = {}
+        #: Keyed by the socket itself: a TcpSocket hashes by identity.
+        self._by_socket: Dict[TcpSocket, _Connection] = {}
         self._by_name: Dict[str, _Connection] = {}
         #: Swarm-wide replica count per piece (how many neighbours have it),
         #: kept in sync with every Bitfield/Have/disconnect so rarest-first
@@ -157,6 +158,14 @@ class Peer:
         self._choke_timer: Optional[PeriodicTimer] = None
         self._optimistic: Optional[_Connection] = None
         self._announce: Optional[tracker_mod.AnnounceHandle] = None
+        #: The callbacks every dialled socket gets, bound once: binding
+        #: them per ``connect`` built four method objects per connection.
+        self._dial_callbacks = dict(
+            on_connected=self._on_connected,
+            on_message=self._on_message,
+            on_close=self._on_socket_close,
+            on_error=self._on_socket_error,
+        )
 
     # ------------------------------------------------------------- lifecycle
 
@@ -231,20 +240,15 @@ class Peer:
             if len(self._connections) >= self.config.max_connections:
                 break
             sock = self.tcp.connect(
-                remote_name,
-                remote_port,
-                options=self.tcp_options,
-                on_connected=self._on_connected,
-                on_message=self._on_message,
-                on_close=self._on_socket_close,
-                on_error=self._on_socket_error,
+                remote_name, remote_port, options=self.tcp_options,
+                **self._dial_callbacks,
             )
             self._set_remote_name(self._register(sock), remote_name)
 
     def _register(self, sock: TcpSocket) -> _Connection:
         connection = _Connection(socket=sock)
         self._connections.append(connection)
-        self._by_socket[id(sock)] = connection
+        self._by_socket[sock] = connection
         return connection
 
     def _set_remote_name(self, connection: _Connection, name: str) -> None:
@@ -263,7 +267,7 @@ class Peer:
         self._send_handshake(connection)
 
     def _on_connected(self, sock: TcpSocket) -> None:
-        connection = self._by_socket.get(id(sock))
+        connection = self._by_socket.get(sock)
         if connection is not None:
             self._send_handshake(connection)
 
@@ -284,7 +288,7 @@ class Peer:
         self._drop_connection(sock)
 
     def _drop_connection(self, sock: TcpSocket) -> None:
-        connection = self._by_socket.pop(id(sock), None)
+        connection = self._by_socket.pop(sock, None)
         if connection is None:
             return
         if connection in self._connections:
@@ -313,7 +317,7 @@ class Peer:
             connection.uploaded_window += message.length
 
     def _on_message(self, sock: TcpSocket, message) -> None:
-        connection = self._by_socket.get(id(sock))
+        connection = self._by_socket.get(sock)
         if connection is None:
             return
         if isinstance(message, Handshake):

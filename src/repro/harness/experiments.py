@@ -253,6 +253,17 @@ def run_bulk(
     identical to ``shards=1``. ``_shard`` is internal: the context a
     sharded worker executes under.
     """
+    if not 0.0 <= cross_share < math.inf:
+        raise ConfigurationError(
+            f"cross_share must be finite and >= 0: {cross_share}"
+        )
+    if cross_share > 0 and fidelity == "hybrid":
+        # The fluid model cannot see CBR datagrams share the bottleneck:
+        # ext1's cell loses 18.5% of its TCP goodput against packet level.
+        raise ConfigurationError(
+            "cross_share > 0 requires fidelity='packet': the fluid model "
+            "does not match packet level under cross traffic"
+        )
     if shards != 1 and _shard is None:
         return _run_sharded(
             "run_bulk", locals(),

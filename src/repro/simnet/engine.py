@@ -157,7 +157,11 @@ class Event:
         delayed ACK, periodic ticks): it replaces a ``cancel()`` plus a
         fresh :meth:`Simulator.call_at` without allocating a new Event or
         closure. Works on pending, fired, *and* cancelled events — the
-        latter two re-arm the timer. A fresh sequence number is assigned so
+        latter two re-arm the timer. Reviving is for a holder with a few
+        busy timers: one that holds thousands of mostly idle timers (TCP
+        sockets) drops a fired or cancelled Event and arms afresh with
+        :meth:`call_at`, which orders identically and frees the Event's
+        bytes while the timer is idle. A fresh sequence number is assigned so
         same-timestamp ordering is identical to cancel-and-recreate; the tie
         rank is likewise re-derived from the current instant unless an
         explicit ``tie_key`` was assigned, which is preserved verbatim.

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 from ..tcp.segment import segment_wire_bytes
 from .packet import IP_HEADER_BYTES
 
-__all__ = ["FluidManager", "FluidFlow"]
+__all__ = ["FluidManager", "FluidFlow", "FluidSocketState"]
 
 #: RTT samples required before the model trusts srtt (timestamps-off
 #: connections sample once per flight, so this is ~4 RTTs of history).
@@ -109,6 +109,41 @@ EXIT_MARGIN_PKTS = 4
 #: chaotic drop mix that decides between clean SACK recovery and an
 #: RTO cascade) natively.
 WAVE_EXIT_MSS = 8.0
+
+#: Shared by every record: ``float("-inf")`` would build a new float each.
+_NEG_INF = float("-inf")
+
+
+class FluidSocketState:
+    """A socket's hybrid-fidelity bookkeeping, kept in its ``_fluid`` slot.
+
+    Packet-mode sockets hold ``None`` there; :meth:`FluidManager.on_ack`
+    creates the record on a socket's first new-data ACK, and a missing
+    record reads as its defaults (no hold, no pacing cap, no loss seen).
+    """
+
+    __slots__ = ("hold", "pace_window", "cooldown", "loss_stat", "last_loss")
+
+    def __init__(self) -> None:
+        #: While the manager drains or owns this flow, no new data may
+        #: enter the packet network; the socket's _try_send parks on it.
+        self.hold = False
+        #: After a fluid->packet handback the usable window is capped here
+        #: while the manager's pacing timers re-open it over one srtt.
+        self.pace_window: Optional[float] = None
+        #: New-data ACKs remaining before fluid re-entry is considered.
+        self.cooldown = 0
+        #: Loss-quiet tracking for the fluid predicate: last observed
+        #: (fast_retransmits, timeouts) pair and when it last changed.
+        self.loss_stat = (0, 0)
+        self.last_loss = _NEG_INF
+
+
+def _held(sock) -> bool:
+    """Whether a manager drains or owns ``sock``'s flow."""
+    state = sock._fluid
+    return state is not None and state.hold
+
 
 def _path_constants(options, fwd: List, rev: List):
     """Wire sizes, physical base RTT and bottleneck of a traced path.
@@ -590,27 +625,30 @@ class FluidManager:
         """Called by the socket after every new-data ACK it processes."""
         if sock in self.flows:
             return
+        state = sock._fluid
+        if state is None:
+            state = sock._fluid = FluidSocketState()
         stat = (sock.fast_retransmits, sock.timeouts)
-        if stat != sock._fluid_loss_stat:
-            sock._fluid_loss_stat = stat
-            sock._fluid_last_loss = sock.clock.now()
-        if sock._fluid_hold:
+        if stat != state.loss_stat:
+            state.loss_stat = stat
+            state.last_loss = sock.clock.now()
+        if state.hold:
             self._check_drain(sock)
             return
-        if sock._fluid_cooldown > 0:
-            sock._fluid_cooldown -= 1
+        if state.cooldown > 0:
+            state.cooldown -= 1
             return
         if self._eligible(sock) is None:
             return
         # Steady state: park the sender and let the in-flight window
         # drain through real ACKs; _check_drain completes the switch.
-        sock._fluid_hold = True
+        state.hold = True
         self._count("fluid.drains")
         self._check_drain(sock)
 
     def on_timeout(self, sock) -> None:
         """Called by the socket when its RTO fires (drain rescue path)."""
-        if sock._fluid_hold and sock not in self.flows:
+        if _held(sock) and sock not in self.flows:
             self._abort_drain(sock, "rto")
 
     def on_dupack(self, sock) -> None:
@@ -625,7 +663,7 @@ class FluidManager:
         flow = self.flows.get(sock)
         if flow is not None:
             self._exit(flow, "dupack", fallback=True)
-        elif sock._fluid_hold:
+        elif _held(sock):
             self._abort_drain(sock, "dupack")
 
     # --------------------------------------------------------- predicate
@@ -653,7 +691,7 @@ class FluidManager:
         rtt = sock.rtt
         if rtt.srtt is None or rtt.samples < MIN_RTT_SAMPLES:
             return None
-        if sock.clock.now() - sock._fluid_last_loss < QUIET_RTTS * rtt.srtt:
+        if sock.clock.now() - sock._fluid.last_loss < QUIET_RTTS * rtt.srtt:
             return None  # let multi-episode convergence finish packet-level
         # Steady state means a smooth window trajectory: either the flow
         # is past slow start (a real loss episode set ssthresh), or the
@@ -693,7 +731,7 @@ class FluidManager:
             return None
         if peer.state not in self._RECEIVER_STATES:
             return None
-        if peer._fluid_hold or peer in self.flows:
+        if _held(peer) or peer in self.flows:
             return None
         if peer.assembler._ooo:
             return None
@@ -777,8 +815,9 @@ class FluidManager:
         self._enter(sock)
 
     def _abort_drain(self, sock, reason: str) -> None:
-        sock._fluid_hold = False
-        sock._fluid_cooldown = COOLDOWN_ACKS
+        state = sock._fluid
+        state.hold = False
+        state.cooldown = COOLDOWN_ACKS
         self._count("fluid.drain_aborts")
         self._count(f"fluid.drain_abort.{reason}")
         sock._try_send()
@@ -803,7 +842,8 @@ class FluidManager:
             self._abort_drain(sock, "desync")
             return
 
-        sock._pace_window = None  # cancel any in-progress handback pacing
+        # Cancel any in-progress handback pacing.
+        sock._fluid.pace_window = None
         flow = FluidFlow(self, sock, peer, fwd, rev)
         self.flows[sock] = flow
         counters = self.sim.counters
@@ -835,8 +875,9 @@ class FluidManager:
                 length=flow.delivered,
             )
 
-        sock._fluid_hold = False
-        sock._fluid_cooldown = COOLDOWN_ACKS
+        state = sock._fluid
+        state.hold = False
+        state.cooldown = COOLDOWN_ACKS
         if sock.state not in self._SENDER_STATES:
             return
         self._begin_pace(sock, flow._segq, span=flow.rtt_base_v)
@@ -894,20 +935,21 @@ class FluidManager:
                 f"snd_una={sock.snd_una}, cwnd={sock.cc.cwnd}"
             )
         sizes = [int(s) for s in segments]
-        sock._pace_window = float(sizes[0])
+        state = sock._fluid
+        state.pace_window = float(sizes[0])
         interval = max(span / len(sizes), 1e-6)
         index = [1]
 
         def tick_segment() -> None:
-            if sock._fluid_hold or sock._pace_window is None:
+            if state.hold or state.pace_window is None:
                 return  # re-entered fluid mode or pacing cancelled
             if sock.state == "CLOSED":
-                sock._pace_window = None
+                state.pace_window = None
                 return
             if index[0] >= len(sizes):
-                sock._pace_window = None
+                state.pace_window = None
             else:
-                sock._pace_window += sizes[index[0]]
+                state.pace_window += sizes[index[0]]
                 index[0] += 1
                 sock.clock.call_in(interval, tick_segment)
             sock._try_send()

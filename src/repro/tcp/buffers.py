@@ -36,8 +36,10 @@ class SendBuffer:
     def __init__(self) -> None:
         #: Total bytes the application has written so far (stream length).
         self.stream_length = 0
-        #: Markers not yet acknowledged: sorted (offset_end, message).
-        self._markers: List[Tuple[int, Any]] = []
+        #: Markers not yet acknowledged: sorted (offset_end, message). The
+        #: shared empty tuple while there are none (most of a connection's
+        #: life); only a non-empty list is mutated in place.
+        self._markers: Sequence[Tuple[int, Any]] = ()
 
     def write(self, n_bytes: int, message: Any = None) -> None:
         """Append ``n_bytes`` to the stream, optionally tagged with a message."""
@@ -45,7 +47,10 @@ class SendBuffer:
             raise ProtocolError(f"write size must be positive: {n_bytes}")
         self.stream_length += n_bytes
         if message is not None:
-            self._markers.append((self.stream_length, message))
+            if self._markers:
+                self._markers.append((self.stream_length, message))
+            else:
+                self._markers = [(self.stream_length, message)]
 
     def available_from(self, offset: int) -> int:
         """Unsent bytes at and beyond ``offset``."""
@@ -71,6 +76,8 @@ class SendBuffer:
         # The acknowledged markers are a prefix of the sorted list.
         if markers and markers[0][0] <= offset:
             del markers[:bisect_right(markers, offset, key=_offset)]
+            if not markers:
+                self._markers = ()
 
     @property
     def pending_markers(self) -> int:
@@ -135,8 +142,9 @@ class ReceiveAssembler:
         self._ooo: Sequence[Tuple[int, int]] = ()  # disjoint, sorted [start, end)
         #: Same intervals ordered most-recently-touched first (for SACK).
         self._recent: Sequence[Tuple[int, int]] = ()
-        #: Completing offset -> the message, first copy only.
-        self._pending_messages: Dict[int, Any] = {}
+        #: Completing offset -> the message, first copy only; ``None``
+        #: while no marker is held, which is most of a connection's life.
+        self._pending_messages: Optional[Dict[int, Any]] = None
         #: Highest marker offset already handed to the application. Marker
         #: delivery is in offset order, so any arriving marker at or below
         #: this is a duplicate from a retransmission and must be ignored.
@@ -181,6 +189,8 @@ class ReceiveAssembler:
                 # At or below the last delivered marker is a duplicate copy
                 # from a retransmission; of the held ones, the first wins.
                 if offset > delivered_marker:
+                    if pending is None:
+                        pending = self._pending_messages = {}
                     pending.setdefault(offset, message)
         if length == 0:
             return False
@@ -295,6 +305,4 @@ class ReceiveAssembler:
             if on_message is not None:
                 on_message(sink, message)
         if not pending:
-            # An emptied dict keeps its key table; clearing frees it, so an
-            # idle connection holds only the empty dict.
-            pending.clear()
+            self._pending_messages = None

@@ -59,9 +59,6 @@ MAX_RETRIES = 15
 #: and no options (see :func:`~repro.tcp.segment.segment_wire_bytes`).
 _TCP_IP_HEADER_BYTES = IP_HEADER_BYTES + TCP_HEADER_BYTES
 
-#: Shared by every socket: ``float("-inf")`` would build a new float each.
-_NEG_INF = float("-inf")
-
 
 def _merge_interval(ranges, start, end):
     """Insert [start, end) into a sorted disjoint interval list.
@@ -134,8 +131,7 @@ class TcpSocket:
         "on_connected", "on_data", "on_message", "on_close", "on_error",
         "on_acked", "_accept_callback",
         "recorder", "_traced_cwnd",
-        "_fluid_hold", "_pace_window", "_fluid_cooldown", "_fluid_loss_stat",
-        "_fluid_last_loss",
+        "_fluid",
         "state",
         "snd_una", "snd_nxt", "snd_wnd", "send_buffer", "cc", "rtt",
         "_rto_event", "_persist_event", "_retries", "_dupacks",
@@ -192,19 +188,10 @@ class TcpSocket:
         #: Last cwnd value reported to the recorder (dedups 'cwnd' events).
         self._traced_cwnd = -1.0
 
-        # ---- hybrid-fidelity hooks (see repro.simnet.fluid)
-        #: While a FluidManager drains or owns this flow, no new data may
-        #: enter the packet network; _try_send parks on this flag.
-        self._fluid_hold = False
-        #: After a fluid->packet handback the usable window is capped here
-        #: while the manager's pacing timers re-open it over one srtt.
-        self._pace_window: Optional[float] = None
-        #: New-data ACKs remaining before fluid re-entry is considered.
-        self._fluid_cooldown = 0
-        #: Loss-quiet tracking for the fluid predicate: last observed
-        #: (fast_retransmits, timeouts) pair and when it last changed.
-        self._fluid_loss_stat = (0, 0)
-        self._fluid_last_loss = _NEG_INF
+        #: Hybrid-fidelity state (a ``FluidSocketState``, see
+        #: repro.simnet.fluid): ``None`` in packet mode; a FluidManager
+        #: creates it on the socket's first new-data ACK.
+        self._fluid = None
 
         self.state = CLOSED
 
@@ -394,10 +381,6 @@ class TcpSocket:
         if self.state not in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, LAST_ACK,
                               CLOSING):
             return
-        if self._fluid_hold:
-            # The fluid fast path owns (or is draining) this flow; it will
-            # hand the window back and call us when packet mode resumes.
-            return
         # Nothing below calls back into the application (sends are
         # scheduled, never delivered synchronously), so the congestion
         # controller, the windows, snd_una, the options and the stream
@@ -407,8 +390,15 @@ class TcpSocket:
         nagle = self.options.nagle
         stream_end = self.send_buffer.stream_length + 1
         window = min(self.cc.cwnd, self.snd_wnd)
-        if self._pace_window is not None:
-            window = min(window, self._pace_window)
+        if self._fluid is not None:
+            fluid = self._fluid
+            if fluid.hold:
+                # The fluid fast path owns (or is draining) this flow; it
+                # hands the window back and calls us when packet mode
+                # resumes.
+                return
+            if fluid.pace_window is not None:
+                window = min(window, fluid.pace_window)
         dupacks = self._dupacks
         if (dupacks == 1 or dupacks == 2) and not self._in_recovery:
             # Limited transmit (RFC 3042): the two early dupacks let us
@@ -561,14 +551,21 @@ class TcpSocket:
         ))
         if ack_flag:
             # Any segment carrying our current ACK satisfies the
-            # delayed-ACK duty. Disarm but keep the Event object: the next
-            # _schedule_ack revives it instead of allocating a fresh one.
+            # delayed-ACK duty.
             self._segments_since_ack = 0
             event = self._delack_event
             if event is not None:
                 event.cancel()
+                self._delack_event = None
 
     # ============================================================== timers: RTO
+    #
+    # A timer slot holds its Event only while it is armed: firing or
+    # cancelling a timer sets the slot to None, so a slot that is not None
+    # is live. Most connections sit idle with no timer armed, and a dead
+    # Event kept for reuse would outweigh the rest of the socket's timer
+    # state. Arming an empty slot calls call_in, whose deadline arithmetic
+    # and fresh seq match a re-key's, so event order is unchanged.
 
     def _arm_rto(self) -> None:
         # Re-key the pending timer instead of cancel-and-recreate: the RTO
@@ -582,14 +579,13 @@ class TcpSocket:
             self._rto_event = self.node.clock.call_in(self.rtt.rto, self._on_rto)
 
     def _cancel_rto(self) -> None:
-        # Keep the Event: reschedule() revives a cancelled or fired entry
-        # with a fresh seq (ordering-identical to cancel-and-recreate), so
-        # the arm/cancel cycles of short-lived swarm connections stop
-        # allocating a new Event per cycle.
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        event = self._rto_event
+        if event is not None:
+            event.cancel()
+            self._rto_event = None
 
     def _on_rto(self) -> None:
+        self._rto_event = None
         if self.state == CLOSED:
             return
         fluid = self.node.sim.fluid
@@ -756,17 +752,14 @@ class TcpSocket:
     # ========================================================== timers: persist
 
     def _arm_persist(self) -> None:
-        event = self._persist_event
-        if event is None:
+        if self._persist_event is None:
             self._persist_event = self.clock.call_in(
                 self.rtt.rto, self._on_persist
             )
-        elif not event.active:
-            # Fired earlier: revive the same Event for the next probe.
-            self.clock.reschedule_in(event, self.rtt.rto)
-        # else: already armed — the old behaviour, kept exactly.
+        # else: already armed; leave its deadline alone.
 
     def _on_persist(self) -> None:
+        self._persist_event = None
         if self.state == CLOSED or self.snd_wnd > 0:
             return
         offset = self._stream_offset(self.snd_nxt)
@@ -791,14 +784,12 @@ class TcpSocket:
         if pending >= options.ack_every:
             self._send_pure_ack()
             return
-        event = self._delack_event
-        if event is None:
+        if self._delack_event is None:
             self._delack_event = self.node.clock.call_in(timeout, self._on_delack)
-        elif not event.active:
-            self.node.clock.reschedule_in(event, timeout)
         # else: a delayed ACK is already pending; leave its deadline alone.
 
     def _on_delack(self) -> None:
+        self._delack_event = None
         if self.state != CLOSED and self._segments_since_ack > 0:
             self._send_pure_ack()
 
@@ -927,12 +918,9 @@ class TcpSocket:
             self._cwr_pending = True
         window_update = segment.window != self.snd_wnd
         self.snd_wnd = segment.window
-        if (
-            self._persist_event is not None
-            and self._persist_event.active
-            and self.snd_wnd > 0
-        ):
+        if self._persist_event is not None and self.snd_wnd > 0:
             self._persist_event.cancel()
+            self._persist_event = None
             self._try_send()
         if ack > self.snd_una:
             self._process_new_ack(ack)

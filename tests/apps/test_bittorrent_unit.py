@@ -99,7 +99,7 @@ class TestPeerState:
         sock = object()
         connection = _Connection(socket=sock)
         peer._connections = [connection]
-        peer._by_socket[id(sock)] = connection
+        peer._by_socket[sock] = connection
         peer._add_remote_pieces(connection, {0, 5})
         assert peer._avail[5] == 1
         peer._drop_connection(sock)

@@ -116,6 +116,24 @@ class TestRunBulk:
         )
         assert result.cross_rate_bps == 0.0
 
+    @pytest.mark.parametrize("share", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bad_cross_share_refused_by_name(self, share, shards):
+        """Refused before anything runs: NaN and negative shares used to
+        run with no cross traffic at all, and an infinite one hung."""
+        with pytest.raises(ConfigurationError,
+                           match="cross_share must be finite and >= 0"):
+            run_bulk(NetworkProfile.from_rtt(mbps(10), ms(20)), 1,
+                     duration_s=1.0, cross_share=share, shards=shards)
+
+    def test_hybrid_fidelity_with_cross_traffic_refused(self):
+        """The fluid model loses 18.5% of ext1's TCP goodput under CBR
+        cross traffic, so the combination is refused, not approximated."""
+        with pytest.raises(ConfigurationError,
+                           match="cross_share > 0 requires fidelity='packet'"):
+            run_bulk(NetworkProfile.from_rtt(mbps(20), ms(40)), 1,
+                     duration_s=1.0, cross_share=0.3, fidelity="hybrid")
+
 
 class TestRunWeb:
     def test_underload_completes_everything(self):

@@ -124,7 +124,7 @@ class TestReceiveAssembler:
     def test_no_message_callback_discards_markers(self):
         asm = ReceiveAssembler(10000)
         asm.accept(0, 100, [(100, "m")])
-        assert asm._pending_messages == {}
+        assert asm._pending_messages is None  # holds no message
 
     def test_invalid_buffer_size(self):
         with pytest.raises(ProtocolError):

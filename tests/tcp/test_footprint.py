@@ -23,15 +23,17 @@ from repro.stats.engineprof import profiled
 from repro.tcp import TcpOptions
 from repro.tcp.socket import ESTABLISHED, TcpSocket
 from tests.helpers import Collector, two_hosts
+from tests.tcp.test_socket_unit import Harness
 
 #: Traced bytes one established, idle connection pair may cost (both
 #: endpoints with their buffers, estimators and congestion state).
-#: A pair measures 2,716 B on CPython 3.11.7: the socket is its
-#: assembler's sink and empty range lists are shared, where bound
-#: methods and fresh lists made it 3,528 B; with instance dicts the same
-#: pair cost 4.9 KB (3.10) to 6.1 KB (3.11). The budget keeps the 19%
+#: A pair measures 2,040 B on CPython 3.11.7 (2,079 B on 3.10, 1,990 B
+#: on 3.13): it holds no timer Event, no marker list or dict and no
+#: fluid state. Keeping each fired or cancelled Event for reuse made it
+#: 2,712 B; bound methods and fresh range lists, 3,528 B; instance
+#: dicts, 4.9 KB (3.10) to 6.1 KB (3.11). The budget keeps the 19%
 #: margin the 3,528 B pair had under its 4,200 B budget.
-PAIR_BUDGET_BYTES = 3230
+PAIR_BUDGET_BYTES = 2430
 PAIRS = 200
 
 #: Bytes a BitTorrent connection record may hold, on average, after a
@@ -59,6 +61,84 @@ def test_idle_connection_pair_fits_budget():
     assert len(accepted) == PAIRS
     assert all(sock.state == ESTABLISHED for sock in clients + accepted)
     assert used / PAIRS <= PAIR_BUDGET_BYTES
+
+
+TIMER_SLOTS = ("_rto_event", "_delack_event", "_persist_event")
+
+
+def test_idle_pair_holds_no_timer_event():
+    net, a, b, stack_a, stack_b, link = two_hosts()
+    accepted = []
+    stack_b.listen(80, accepted.append)
+    clients = [stack_a.connect("b", 80) for _ in range(3)]
+    net.run(until=1.0)
+    for sock in clients + accepted:
+        assert sock.state == ESTABLISHED
+        assert [getattr(sock, slot) for slot in TIMER_SLOTS] == [None] * 3
+
+
+def test_fired_rto_is_not_kept():
+    h = Harness()  # the SYN goes unanswered
+    first = h.sock._rto_event
+    h.net.run(until=h.sock.rtt.rto + 0.001)
+    assert h.sock.retransmits == 1
+    # The re-armed timer is a new, live Event; the fired one is dropped.
+    assert not first.active
+    assert h.sock._rto_event is not first and h.sock._rto_event.active
+
+
+def test_cancelled_rto_is_not_kept():
+    h = Harness()
+    assert h.sock._rto_event.active
+    h.establish()  # the SYN+ACK acknowledges everything sent
+    assert h.sock._rto_event is None
+    h.sock.send(1000)
+    assert h.sock._rto_event.active
+    h.ack(1001)
+    assert h.sock._rto_event is None
+
+
+def delack_pair():
+    """An established pair whose server holds one unacknowledged segment."""
+    net, a, b, stack_a, stack_b, link = two_hosts()
+    accepted = []
+    stack_b.listen(80, accepted.append)
+    client = stack_a.connect("b", 80)
+    net.run(until=0.5)
+    server = accepted[0]
+    client.send(100)
+    net.run(until=0.5 + 0.011)  # one segment: half the ACK-every count
+    assert server._delack_event.active
+    return net, client, server
+
+
+def test_fired_delayed_ack_is_not_kept():
+    net, client, server = delack_pair()
+    net.run(until=1.0)
+    assert client.snd_una == 101  # the delayed ACK went out
+    assert server._delack_event is None
+
+
+def test_cancelled_delayed_ack_is_not_kept():
+    net, client, server = delack_pair()
+    server.send(100)  # the reply carries the ACK
+    assert server._delack_event is None
+
+
+def test_fired_or_cancelled_persist_timer_is_not_kept():
+    h = Harness()
+    h.establish()
+    h.ack(1, window=0)
+    h.sock.send(5000)
+    first = h.sock._persist_event
+    assert first.active
+    h.net.run(until=h.sock.rtt.rto + 0.001)
+    assert h.data_segments()  # the first probe
+    assert not first.active
+    assert h.sock._persist_event is not first
+    assert h.sock._persist_event.active
+    h.ack(1, window=1 << 20)  # the window reopens
+    assert h.sock._persist_event is None
 
 
 @pytest.fixture

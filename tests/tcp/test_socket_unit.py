@@ -68,10 +68,17 @@ def test_zero_window_arms_persist_probe():
     h.sock.send(5000)
     assert h.data_segments() == []  # nothing may be sent
     # The persist timer fires after one RTO and emits a 1-byte probe.
-    h.net.run(until=2 * h.sock.rtt.rto + 0.1)
+    h.net.run(until=h.sock.rtt.rto + 0.1)
     probes = h.data_segments()
-    assert len(probes) >= 1
+    assert len(probes) == 1
     assert probes[0].length == 1
+    # The window stays shut: the re-armed timer probes again, re-sending
+    # the same byte once the RTO has rewound it.
+    h.net.run(until=2.1)
+    probes = h.data_segments()
+    assert len(probes) == 2
+    assert probes[1].length == 1 and probes[1].seq == probes[0].seq
+    assert h.sock._persist_event.active
 
 
 def test_window_reopen_releases_data():

@@ -2,11 +2,10 @@
 """Emulating a messy consumer access line — and dilating it.
 
 Real emulation targets are rarely clean pipes. This example builds an
-ADSL-flavoured path with every imperfection the substrate models:
+ADSL-flavoured path:
 
-* asymmetric rates (8 Mbps down / 1 Mbps up) via token-bucket shapers
-  below the physical line rate (exactly how dummynet/netem shape),
-* delay jitter on the downlink,
+* asymmetric rates (8 Mbps down / 1 Mbps up) on one link, each direction
+  with a finite 40-packet buffer (a dummynet pipe per direction),
 * competing CBR cross traffic ("the roommate's video call").
 
 It then measures a download at TDF 1 and at TDF 5 over a 5x-slower
@@ -17,14 +16,13 @@ Run it::
     python examples/dsl_line.py
 """
 
-import random
-
 from repro.apps.crosstraffic import CbrSource, UdpSink
 from repro.apps.iperf import IperfClient, IperfServer
 from repro.core.vmm import Hypervisor
-from repro.simnet.shaper import ShapedInterface
+from repro.simnet.link import Link
+from repro.simnet.queues import DropTailQueue
 from repro.simnet.topology import Network
-from repro.simnet.units import format_rate, kbps, mbps, ms
+from repro.simnet.units import format_rate, mbps, ms
 from repro.tcp.stack import TcpStack
 from repro.udp.socket import UdpStack
 
@@ -35,28 +33,19 @@ def run_dsl(tdf: int) -> dict:
     down_rate = mbps(8) / tdf
     up_rate = mbps(1) / tdf
     base_delay = ms(15) * tdf
-    jitter = ms(3) * tdf
 
     net = Network()
     isp = net.add_node("isp")
     home = net.add_node("home")
-    link = net.add_link(isp, home, mbps(100) / tdf, base_delay)
+    # One asymmetric link. Each direction's buffer is a packet count
+    # (TDF-invariant) and finite, so TCP receives loss feedback instead
+    # of bufferbloat.
+    net.links.append(Link(
+        net.sim, isp, home, down_rate, base_delay,
+        queue_factory=lambda: DropTailQueue(capacity_packets=40),
+        bandwidth_reverse_bps=up_rate,
+    ))
     net.finalize()
-
-    # Shape each direction below the line rate, as a DSLAM does. Burst
-    # sizes are byte quantities (TDF-invariant) and the shaper buffer is
-    # finite, so TCP receives loss feedback instead of bufferbloat.
-    down_shaper = ShapedInterface(net.sim, link.a_to_b, down_rate / 8,
-                                  burst_bytes=10_000,
-                                  max_backlog_packets=40)
-    up_shaper = ShapedInterface(net.sim, link.b_to_a, up_rate / 8,
-                                burst_bytes=3_000,
-                                max_backlog_packets=40)
-    isp.set_route("home", down_shaper)
-    home.set_route("isp", up_shaper)
-    # Jitter on the downlink propagation.
-    link.a_to_b.jitter_s = jitter
-    link.a_to_b._jitter_rng = random.Random(99)
 
     vmm = Hypervisor(net.sim)
     vmm.create_vm("isp-vm", tdf=tdf, cpu_share=0.5, node=isp)
@@ -80,7 +69,7 @@ def run_dsl(tdf: int) -> dict:
 
 
 def main() -> None:
-    print("ADSL-style line: shaped 8 Mbps down, 3 ms jitter, 1.5 Mbps of")
+    print("ADSL-style line: 8 Mbps down / 1 Mbps up, 1.5 Mbps of")
     print("competing video traffic. Download goodput as the guest sees it:\n")
     for tdf in (1, 5):
         result = run_dsl(tdf)

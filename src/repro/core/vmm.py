@@ -18,6 +18,7 @@ untouched).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from ..simnet.engine import Simulator
@@ -48,8 +49,11 @@ class Hypervisor:
         host_cycles_per_second: float = 1e9,
         name: str = "vmm0",
     ) -> None:
-        if host_cycles_per_second <= 0:
-            raise ConfigurationError("host CPU rate must be positive")
+        if not 0 < host_cycles_per_second < math.inf:  # also refuses NaN
+            raise ConfigurationError(
+                "host_cycles_per_second must be positive and finite: "
+                f"{host_cycles_per_second}"
+            )
         self.sim = sim
         self.name = name
         self.host_cycles_per_second = host_cycles_per_second

@@ -29,7 +29,7 @@ either numbers (SI base units) or strings (``"10Mbps"``, ``"5ms"``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..core.tdf import TdfLike, as_tdf
 from ..core.vm import VirtualMachine
@@ -53,12 +53,25 @@ from ..udp.socket import UdpStack
 __all__ = ["Scenario", "build_scenario", "check_axes"]
 
 
-def _rate(value: Union[str, float, int]) -> float:
-    return parse_rate(value) if isinstance(value, str) else float(value)
+def _check_keys(where: str, mapping: Dict[str, Any],
+                required: Tuple[str, ...], optional: Tuple[str, ...]) -> None:
+    """Refuse a missing or an unknown key, naming it."""
+    for key in required:
+        if key not in mapping:
+            raise ConfigurationError(f"{where}: missing key {key!r}")
+    for key in mapping:
+        if key not in required and key not in optional:
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
 
 
-def _time(value: Union[str, float, int]) -> float:
-    return parse_time(value) if isinstance(value, str) else float(value)
+def _quantity(entry: Dict[str, Any], key: str,
+              parse: Callable[[str], float]) -> float:
+    """A link entry's number, or a string ``parse`` reads (``"5ms"``)."""
+    value = entry[key]
+    try:
+        return parse(value) if isinstance(value, str) else float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"link entry {key!r}: {exc}") from None
 
 
 def check_axes(fidelity: str, realtime, trace: Optional[TraceSpec],
@@ -279,33 +292,40 @@ def build_scenario(spec: Dict[str, Any]) -> Scenario:
 
     ``links`` (required)
         List of ``{"a", "b", "bandwidth", "delay", "queue"?}``; nodes are
-        created on first mention. ``queue`` is drop-tail packets
-        (default 100).
+        created on first mention. ``queue`` is a positive integer count
+        of drop-tail packets (default 100).
     ``vms`` (optional)
         List of ``{"node", "tdf"?, "cpu_share"?}`` — boots the node as a
         dilated guest.
     ``host_cycles_per_second`` (optional)
         Physical CPU rate of the (single) machine hosting the VMs.
+
+    Any other key, at the top level or in an entry, is refused with a
+    :class:`ConfigurationError` naming it; so is a bad link value.
     """
-    if "links" not in spec or not spec["links"]:
+    _check_keys("scenario", spec, ("links",),
+                ("vms", "host_cycles_per_second"))
+    if not spec["links"]:
         raise ConfigurationError("scenario needs at least one link")
-    unknown = set(spec) - {"links", "vms", "host_cycles_per_second"}
-    if unknown:
-        raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
     network = Network()
     for entry in spec["links"]:
-        for key in ("a", "b", "bandwidth", "delay"):
-            if key not in entry:
-                raise ConfigurationError(f"link entry missing {key!r}: {entry}")
+        _check_keys(f"link entry {entry}", entry,
+                    ("a", "b", "bandwidth", "delay"), ("queue",))
+        queue_packets = entry.get("queue", 100)
+        if type(queue_packets) is not int or queue_packets < 1:  # not bool
+            raise ConfigurationError(
+                f"link entry 'queue' must be a positive integer: {queue_packets!r}"
+            )
+        bandwidth = _quantity(entry, "bandwidth", parse_rate)
+        delay = _quantity(entry, "delay", parse_time)
         for name in (entry["a"], entry["b"]):
             if name not in network.nodes:
                 network.add_node(name)
-        queue_packets = int(entry.get("queue", 100))
         network.add_link(
             network.node(entry["a"]),
             network.node(entry["b"]),
-            _rate(entry["bandwidth"]),
-            _time(entry["delay"]),
+            bandwidth,
+            delay,
             queue_factory=lambda q=queue_packets: DropTailQueue(
                 capacity_packets=q
             ),
@@ -316,8 +336,8 @@ def build_scenario(spec: Dict[str, Any]) -> Scenario:
         host_cycles_per_second=float(spec.get("host_cycles_per_second", 1e9)),
     )
     for entry in spec.get("vms", []):
-        if "node" not in entry:
-            raise ConfigurationError(f"vm entry missing 'node': {entry}")
+        _check_keys(f"vm entry {entry}", entry, ("node",),
+                    ("tdf", "cpu_share"))
         node_name = entry["node"]
         scenario.vms[node_name] = scenario.vmm.create_vm(
             f"vm-{node_name}",

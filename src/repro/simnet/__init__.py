@@ -33,7 +33,6 @@ from .nic import Interface
 from .node import Node
 from .packet import Packet
 from .queues import DropTailQueue, REDQueue
-from .shaper import ShapedInterface, TokenBucket
 from .topology import Network, build_chain, build_dumbbell, build_star
 
 __all__ = [
@@ -64,8 +63,6 @@ __all__ = [
     "Packet",
     "DropTailQueue",
     "REDQueue",
-    "TokenBucket",
-    "ShapedInterface",
     "Network",
     "build_dumbbell",
     "build_star",

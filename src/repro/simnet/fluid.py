@@ -18,9 +18,9 @@ closed form cannot express hands the flow back to packet level:
 * **foreign traffic** — a transmit on any path interface while the fluid
   flow is silent means a competing flow arrived (detected via
   ``tx_packets`` snapshots, one integer compare per interface per step);
-* **path change** — an impairment, tap, recorder, shaper, RED queue,
-  jitter, link-down or cross-shard ``egress_channel`` appearing on the
-  path (``Interface.fluid_transparent`` re-checked every step);
+* **path change** — an impairment, tap, recorder, RED queue, link-down
+  or cross-shard ``egress_channel`` appearing on the path
+  (``Interface.fluid_transparent`` re-checked every step);
 * **peer talkback** — the receiving application responding with data of
   its own (request/response traffic is never fluid);
 * **state change** — close/FIN/RST progress on either socket;
@@ -794,8 +794,7 @@ class FluidManager:
             iface = node.routes.get(dst_name)
             if iface is None:
                 return None
-            transparent = getattr(iface, "fluid_transparent", None)
-            if transparent is None or not transparent():
+            if not iface.fluid_transparent():
                 return None
             peer = iface.peer
             if peer is None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Optional
 
 from .engine import Simulator
@@ -37,8 +36,6 @@ class Link:
         queue_factory: Optional[QueueFactory] = None,
         bandwidth_reverse_bps: Optional[float] = None,
         delay_reverse_s: Optional[float] = None,
-        jitter_s: float = 0.0,
-        jitter_rng: Optional[random.Random] = None,
     ) -> None:
         make_queue = queue_factory if queue_factory is not None else DropTailQueue
         self.node_a = node_a
@@ -50,8 +47,6 @@ class Link:
             delay_s,
             queue=make_queue(),
             name=f"{node_a.name}->{node_b.name}",
-            jitter_s=jitter_s,
-            jitter_rng=jitter_rng,
         )
         self.b_to_a = Interface(
             sim,
@@ -60,21 +55,10 @@ class Link:
             delay_reverse_s if delay_reverse_s is not None else delay_s,
             queue=make_queue(),
             name=f"{node_b.name}->{node_a.name}",
-            jitter_s=jitter_s,
-            jitter_rng=jitter_rng,
         )
         self.a_to_b.connect(self.b_to_a)
         node_a.add_interface(self.a_to_b)
         node_b.add_interface(self.b_to_a)
-
-    def fluid_transparent(self) -> bool:
-        """True when *both* directions are pure delay+bandwidth pipes the
-        fluid fast path can model (see :meth:`Interface.fluid_transparent`
-        and :mod:`repro.simnet.fluid`). Links created with jitter, RED
-        queues or later decorated with impairments report False."""
-        return (
-            self.a_to_b.fluid_transparent() and self.b_to_a.fluid_transparent()
-        )
 
     def interface_from(self, node: Node) -> Interface:
         """The egress interface this link offers to ``node``."""

@@ -19,7 +19,6 @@ the guests' perception of it changes.
 from __future__ import annotations
 
 import math
-import random
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from .engine import Simulator
@@ -50,8 +49,6 @@ class Interface:
         delay_s: float,
         queue: Optional[DropTailQueue] = None,
         name: str = "",
-        jitter_s: float = 0.0,
-        jitter_rng: Optional["random.Random"] = None,
     ) -> None:
         # The range rule a link schedule's entries follow, checked once
         # here so a bad value never reaches the per-packet arithmetic;
@@ -64,23 +61,10 @@ class Interface:
             raise ConfigurationError(
                 f"delay must be non-negative and finite: {delay_s}"
             )
-        if not 0 <= jitter_s:
-            raise ConfigurationError(f"jitter must be non-negative: {jitter_s}")
-        if not jitter_s <= delay_s:
-            raise ConfigurationError(
-                "jitter may not exceed the base delay (it would need "
-                "negative propagation)"
-            )
         self.sim = sim
         self.node = node
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
-        #: netem-style delay variation: each packet's propagation is
-        #: ``delay ± U(0, jitter)``. Deterministic via the injected RNG.
-        #: Note packets may be reordered when jitter exceeds the packet
-        #: spacing, exactly as with netem.
-        self.jitter_s = jitter_s
-        self._jitter_rng = jitter_rng
         self.queue = queue if queue is not None else DropTailQueue()
         self.name = name or f"{node.name}-if"
         self.peer: Optional["Interface"] = None
@@ -107,9 +91,8 @@ class Interface:
         #: Unified drop taxonomy: reason -> count. Every egress drop on
         #: this interface lands here under exactly one reason — "down"
         #: (administratively down), "injected" (a :meth:`set_loss`
-        #: predicate), "queue" (discipline rejected it), "shaper" (a wrapping
-        #: ShapedInterface's backlog overflowed), or an impairment-stage
-        #: reason ("loss", "reorder"…). Mirrored into
+        #: predicate), "queue" (discipline rejected it), or an
+        #: impairment-stage reason ("loss", "reorder"…). Mirrored into
         #: ``sim.counters["drop.<reason>"]`` for engine-wide summaries.
         self.drops: Dict[str, int] = {}
         #: Bytes successfully put on the wire (serialised), for utilisation.
@@ -141,8 +124,6 @@ class Interface:
         #: ``delay_s`` (a schedule step) must not
         #: let a later packet overtake one already in flight — dummynet
         #: clamps each arrival to the previous packet's, and so do we.
-        #: Jittered interfaces are exempt: netem-style jitter reorders by
-        #: design (pinned by test_jitter_can_reorder_packets).
         self._fifo_horizon_s = 0.0
 
     def connect(self, peer: "Interface") -> None:
@@ -187,7 +168,7 @@ class Interface:
 
         The fluid fast path (:mod:`repro.simnet.fluid`) may only model a
         hop it can express in closed form: no impairment chain (a
-        :meth:`set_loss` predicate included), observer or jitter (all
+        :meth:`set_loss` predicate included) or observer (both
         per-packet decisions), no cross-shard egress channel (those
         packets must really cross the boundary inside the lookahead
         window), no schedule change still pending (a closed-form hold
@@ -201,7 +182,6 @@ class Interface:
             and self.egress_channel is None
             and self._impairments is None
             and not self._taps
-            and self.jitter_s == 0
             and (self.schedule is None or not self.schedule.change_pending)
             and getattr(self.queue, "fluid_transparent", False)
         )
@@ -209,17 +189,16 @@ class Interface:
     def min_delay_s(self) -> float:
         """Conservative minimum propagation delay this egress can exhibit.
 
-        Static interfaces: the base delay minus the worst-case jitter
-        excursion. Scheduled interfaces additionally take the minimum over
-        every delay the schedule will ever apply — a partition's lookahead
-        must hold for the entire run, not just the initial configuration,
-        so :func:`~repro.simnet.topology.partition_network` derives cut
+        Static interfaces: the base delay. Scheduled interfaces take the
+        minimum over every delay the schedule will ever apply — a
+        partition's lookahead must hold for the entire run, not just the
+        initial configuration, so
+        :func:`~repro.simnet.topology.partition_network` derives cut
         lookahead from this, not from ``delay_s``.
         """
-        delay = self.delay_s
-        if self.schedule is not None:
-            delay = min(delay, self.schedule.min_delay_s)
-        return delay - self.jitter_s
+        if self.schedule is None:
+            return self.delay_s
+        return min(self.delay_s, self.schedule.min_delay_s)
 
     @property
     def down_drops(self) -> int:
@@ -287,26 +266,19 @@ class Interface:
         self.tx_packets += 1
         if self._observed:
             self._observe("tx", packet)
-        if self._jitter_rng is not None and self.jitter_s > 0:
-            # Jitter reorders by design (netem semantics) — no clamp.
-            delay = self.delay_s + self._jitter_rng.uniform(
-                -self.jitter_s, self.jitter_s
-            )
-            arrival = self.sim._now + delay
-        else:
-            # FIFO per direction: clamp the arrival to the previous
-            # packet's so a mid-run delay decrease cannot let this packet
-            # overtake one still propagating (dummynet does the same).
-            # Under a constant delay the clamp never binds, keeping the
-            # static-path schedule bit-identical.
-            arrival = self.sim._now + self.delay_s
-            if arrival < self._fifo_horizon_s:
-                arrival = self._fifo_horizon_s
-            self._fifo_horizon_s = arrival
+        # FIFO per direction: clamp the arrival to the previous packet's
+        # so a mid-run delay decrease cannot let this packet overtake one
+        # still propagating (dummynet does the same). Under a constant
+        # delay the clamp never binds, keeping the static-path schedule
+        # bit-identical.
+        arrival = self.sim._now + self.delay_s
+        if arrival < self._fifo_horizon_s:
+            arrival = self._fifo_horizon_s
+        self._fifo_horizon_s = arrival
         if self.egress_channel is not None:
             # The peer lives in another shard: ship (arrival time, packet)
-            # to its engine. Jitter/clamping happened above, sender-side,
-            # so the arrival time is final and deterministic.
+            # to its engine. Clamping happened above, sender-side, so the
+            # arrival time is final and deterministic.
             self.egress_channel.send(arrival, packet)
         else:
             self.sim.schedule_transient_at(arrival, self.peer._deliver_fn, packet)

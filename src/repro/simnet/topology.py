@@ -127,7 +127,7 @@ class CutEdge:
     to_shard: int
     #: Conservative lookahead contributed by this edge: the *minimum*
     #: propagation delay a packet entering the channel can experience
-    #: (base delay minus the worst-case jitter excursion).
+    #: (the base delay, or a schedule's smallest delay).
     lookahead_s: float
 
 
@@ -162,7 +162,7 @@ def partition_network(
     A link whose endpoints land in different shards becomes two directed
     :class:`CutEdge` s (one per direction); its propagation delay is the
     conservative lookahead, so a cut edge with **zero** minimum delay
-    (zero-delay link, or jitter equal to the base delay) is refused — a
+    (a zero-delay link, or a schedule that reaches zero delay) is refused — a
     conservative parallel simulation cannot make progress across a cut
     with no lookahead.
     """
@@ -200,8 +200,7 @@ def partition_network(
                 if lookahead <= 0:
                     raise ConfigurationError(
                         f"partition cuts link {iface.name!r} which has no "
-                        f"lookahead (delay {iface.delay_s}s, jitter "
-                        f"{iface.jitter_s}s, schedule min "
+                        f"lookahead (delay {iface.delay_s}s, schedule min "
                         f"{iface.schedule.min_delay_s if iface.schedule is not None else 'n/a'}): "
                         "a link that can reach zero delay cannot cross "
                         "shards — co-locate its endpoints"
@@ -234,9 +233,9 @@ def partition_network(
 def suggest_assignment(net: Network, shards: int) -> Dict[str, int]:
     """A deterministic default assignment: islands balanced by link degree.
 
-    Nodes joined by a link with no lookahead (zero delay, or jitter equal
-    to the delay) can never be separated, so they are first contracted
-    into atoms (union-find); atoms are then dealt round-robin, heaviest
+    Nodes joined by a link with no lookahead (zero minimum delay) can
+    never be separated, so they are first contracted into atoms
+    (union-find); atoms are then dealt round-robin, heaviest
     first, to the currently lightest shard. Weight is the atom's summed
     *link degree*, not its node count: a shard's event load scales with
     the traffic its interfaces carry, and degree is the static proxy for

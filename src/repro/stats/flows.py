@@ -117,9 +117,9 @@ class FlowMonitor:
     def interface_drops(self) -> Dict[str, Dict[str, int]]:
         """Per-interface drop taxonomy (``{iface name: {reason: count}}``).
 
-        Reasons are the NIC taxonomy: "down", "injected", "queue",
-        "shaper", plus impairment-stage reasons ("loss", "reorder",
-        "duplicate", "corrupt"). Interfaces with no drops map to
+        Reasons are the NIC taxonomy: "down", "injected", "queue", plus
+        impairment-stage reasons ("loss", "reorder", "duplicate",
+        "corrupt"). Interfaces with no drops map to
         ``{}``.
         """
         return {iface.name: dict(iface.drops) for iface in self.interfaces}

@@ -7,6 +7,7 @@ import pytest
 from repro.apps.streaming import JitterBufferSink, MediaSource
 from repro.core.vmm import Hypervisor
 from repro.simnet.errors import ConfigurationError
+from repro.simnet.impairments import ImpairmentChain, Reorder
 from repro.simnet.topology import Network
 from repro.simnet.units import mbps, ms
 from repro.udp.socket import UdpStack
@@ -19,8 +20,11 @@ def build_path(delay=ms(20), jitter=None, jitter_seed=5, tdf=None,
     b = net.add_node("b")
     link = net.add_link(a, b, bandwidth, delay)
     if jitter is not None:
-        link.a_to_b.jitter_s = jitter
-        link.a_to_b._jitter_rng = random.Random(jitter_seed)
+        # Hold a random 30% of packets back by ``jitter``: a delay spread
+        # that lets later packets overtake them.
+        link.a_to_b.set_impairments(ImpairmentChain(
+            [Reorder(0.3, jitter, rng=random.Random(jitter_seed))]
+        ))
     net.finalize()
     vm = None
     if tdf is not None:

@@ -57,6 +57,14 @@ def test_invalid_host_rate():
         Hypervisor(Simulator(), host_cycles_per_second=0)
 
 
+@pytest.mark.parametrize("rate", [float("inf"), float("nan"), -1e9])
+def test_out_of_range_host_rate_refused_by_name(rate):
+    # An infinite rate would finish any CPU task in 0 s; NaN would fail
+    # later, inside the engine.
+    with pytest.raises(ConfigurationError, match="host_cycles_per_second"):
+        Hypervisor(Simulator(), host_cycles_per_second=rate)
+
+
 def test_attach_node_swaps_clock():
     sim = Simulator()
     vmm = Hypervisor(sim)

@@ -93,11 +93,50 @@ def test_validation(bad):
     ("bandwidth", float("inf")),
     ("delay", float("nan")),
     ("delay", float("inf")),
+    ("bandwidth", "abc"),
+    ("bandwidth", None),
+    ("delay", "5 parsecs"),
 ])
 def test_non_finite_link_parameters_refused_at_build(field, value):
     link = {"a": "x", "b": "y", "bandwidth": 1e6, "delay": 0.001, field: value}
     with pytest.raises(ConfigurationError, match=field):
         build_scenario({"links": [link]})
+
+
+LINK = {"a": "x", "b": "y", "bandwidth": 1e6, "delay": 0.001}
+
+
+@pytest.mark.parametrize("queue", [
+    float("nan"), float("inf"), "abc", 2.7, 0, -3, True, None,
+])
+def test_bad_queue_refused_by_name(queue):
+    with pytest.raises(ConfigurationError, match="'queue'"):
+        build_scenario({"links": [{**LINK, "queue": queue}]})
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"links": [{**LINK, "jitter": 0.001}]}, "jitter"),
+    ({"links": [LINK], "vms": [{"node": "x", "cores": 2}]}, "cores"),
+])
+def test_unknown_entry_key_refused_by_name(spec, key):
+    with pytest.raises(ConfigurationError, match=repr(key)):
+        build_scenario(spec)
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan"), "nan"],
+                         ids=["inf", "nan", "nan-text"])
+def test_bad_host_rate_refused_by_build_scenario(rate):
+    with pytest.raises(ConfigurationError, match="host_cycles_per_second"):
+        build_scenario({"links": [LINK], "host_cycles_per_second": rate})
+
+
+@pytest.mark.parametrize("rate", [float("inf"), float("nan")])
+def test_bad_host_rate_refused_by_scenario(rate):
+    network = Network()
+    network.add_link(network.add_node("x"), network.add_node("y"), 1e6, 0.001)
+    network.finalize()
+    with pytest.raises(ConfigurationError, match="host_cycles_per_second"):
+        Scenario(network, host_cycles_per_second=rate)
 
 
 def test_vm_lookup_for_undilated_node_raises():

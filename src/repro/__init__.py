@@ -28,8 +28,6 @@ Quick tour::
 See ``examples/quickstart.py`` for an end-to-end dilated TCP transfer.
 """
 
-from . import apps, core, harness, simnet, stats, tcp, udp, workloads
-
 __version__ = "1.0.0"
 
 __all__ = [

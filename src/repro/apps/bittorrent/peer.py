@@ -19,8 +19,17 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from dataclasses import dataclass
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+)
 
 from ...core.timer import PeriodicTimer
 from ...simnet.node import Node
@@ -45,6 +54,10 @@ from .metainfo import TorrentMeta
 __all__ = ["Peer", "PeerConfig"]
 
 PEER_PORT = 6881
+
+#: The ``interesting`` of every connection that has nothing to offer yet
+#: or whose peer is complete (see :class:`_Connection`).
+_NO_PIECES: AbstractSet[int] = frozenset()
 
 
 def _pieces(bitfield: int) -> Iterator[int]:
@@ -95,8 +108,12 @@ class _Connection:
     #: maintained incrementally so interest checks and rarest-first
     #: candidate scans never re-walk the whole bitfield. It stays a set:
     #: its iteration order feeds the rarest-first pool that ``rng.choice``
-    #: draws from, so another encoding would change every download.
-    interesting: Set[int] = field(default_factory=set)
+    #: draws from, so another encoding would change every download. It is
+    #: the shared ``_NO_PIECES`` until its first add (a set made then sees
+    #: the same insertions, so iterates in the same order) and again once
+    #: the peer completes, when it can never be filled again. A set that
+    #: empties earlier is kept: a fresh one may iterate differently.
+    interesting: AbstractSet[int] = _NO_PIECES
     #: Pieces requested from this neighbour and not yet received, as a
     #: bitfield like ``remote_have`` (add, discard, clear, count, and the
     #: order-free ``_unpend`` of each when the neighbour chokes or drops).
@@ -380,6 +397,8 @@ class Peer:
                 self._send(other, Have(piece=piece))
         if self.complete and self.completed_at is None:
             self.completed_at = self.node.clock.now()
+            for other in self._connections:
+                other.interesting = _NO_PIECES
             if self.on_complete is not None:
                 self.on_complete(self)
         self._fill_pipeline(connection)
@@ -401,6 +420,8 @@ class Peer:
             remote |= bit
             avail[piece] += 1
             if piece not in have:
+                if interesting is _NO_PIECES:
+                    interesting = connection.interesting = set()
                 interesting.add(piece)
         connection.remote_have = remote
         self._update_interest(connection)

@@ -12,7 +12,6 @@ from .experiments import (
     run_cpu_task,
     run_web,
 )
-from .figures import CELL_MODEL, figure_ids, run_figure
 from .report import Check, FigureResult, Table
 from .scenario import Scenario, build_scenario
 from .validate import EquivalenceReport, assert_equivalent, check_equivalent
@@ -28,9 +27,6 @@ __all__ = [
     "CpuResult",
     "default_queue_packets",
     "relative_error",
-    "CELL_MODEL",
-    "figure_ids",
-    "run_figure",
     "Table",
     "FigureResult",
     "Check",

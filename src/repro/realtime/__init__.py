@@ -19,13 +19,10 @@ to pacing the physical timeline 1:1 against a monotonic clock.
 """
 
 from .driver import CATCHUP_POLICIES, RealtimeConfig, RealtimeDriver, RealtimeStats
-from .ingress import GatewayPayload, UdpGateway
 
 __all__ = [
     "CATCHUP_POLICIES",
     "RealtimeConfig",
     "RealtimeDriver",
     "RealtimeStats",
-    "GatewayPayload",
-    "UdpGateway",
 ]

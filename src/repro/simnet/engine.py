@@ -374,15 +374,31 @@ class Simulator:
         until:
             Stop once the next event would be strictly later than this
             physical time. The clock is advanced to ``until`` on exit so a
-            subsequent ``run`` continues from there.
+            subsequent ``run`` continues from there. ``inf`` is no bound,
+            like ``None``: the clock stays at the last event. NaN is
+            refused with :class:`SchedulingError`.
         max_events:
             Safety valve for runaway simulations; raises
             :class:`SchedulingError` when a further event would exceed the
             budget. The budget is checked *before* executing, so a run
             that needs exactly ``max_events`` events completes cleanly.
+            ``None`` or an int >= 0; anything else is refused.
         """
         if self._running:
             raise SchedulingError("simulator is already running (re-entrant run)")
+        # Bounds are checked once per call, before the loop: a NaN would
+        # compare false and silently unbound the run, an infinite ``until``
+        # would leave the clock at inf, and a fractional budget would round up.
+        if until is not None and until != until:
+            raise SchedulingError(f"run(until={until}): NaN is not a time")
+        if until == _INF:
+            until = None
+        if max_events is not None and (
+            type(max_events) is not int or max_events < 0
+        ):
+            raise SchedulingError(
+                f"run(max_events={max_events!r}): need None or an int >= 0"
+            )
         self._running = True
         self._stopped = False
         limit = _INF if until is None else until

@@ -56,17 +56,18 @@ class SendBuffer:
         """Unsent bytes at and beyond ``offset``."""
         return max(0, self.stream_length - offset)
 
-    def markers_in(self, start: int, end: int) -> List[Tuple[int, Any]]:
+    def markers_in(self, start: int, end: int) -> Sequence[Tuple[int, Any]]:
         """Markers whose completing byte lies in ``(start, end]``.
 
         Called for every (re)transmission covering that range, so a lost
         segment's markers are re-attached to the retransmission. Offsets
         are strictly increasing (each write ends beyond the last), so the
-        range is one slice found by two binary searches.
+        range is one slice found by two binary searches. With no markers
+        held it is the shared empty tuple, which nothing mutates.
         """
         markers = self._markers
         if not markers:
-            return []
+            return ()
         return markers[bisect_right(markers, start, key=_offset):
                        bisect_right(markers, end, key=_offset)]
 
@@ -173,7 +174,7 @@ class ReceiveAssembler:
     # ---------------------------------------------------------------- arrival
 
     def accept(
-        self, seq: int, length: int, messages: List[Tuple[int, Any]]
+        self, seq: int, length: int, messages: Sequence[Tuple[int, Any]]
     ) -> bool:
         """Process an arriving data range.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Sequence, Tuple
 
 __all__ = ["Segment", "TCP_HEADER_BYTES", "segment_wire_bytes"]
 
@@ -62,9 +62,10 @@ class Segment:
     length:
         Payload bytes carried (0 for pure ACKs and control segments).
     messages:
-        Application message markers riding on this payload: a list of
+        Application message markers riding on this payload: a sequence of
         ``(stream_offset_end, message)`` pairs, delivered to the application
-        once the receive stream passes each offset.
+        once the receive stream passes each offset (the shared ``()`` when
+        there are none).
     """
 
     src_port: int
@@ -77,7 +78,7 @@ class Segment:
     rst: bool = False
     ack_flag: bool = False
     window: int = 65535
-    messages: List[Tuple[int, Any]] = field(default_factory=list)
+    messages: Sequence[Tuple[int, Any]] = ()
     #: SACK option blocks: (start_seq, end_seq) ranges the receiver holds
     #: beyond the cumulative ACK (RFC 2018; at most 4 blocks fit).
     sack: Tuple[Tuple[int, int], ...] = ()

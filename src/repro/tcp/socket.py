@@ -459,7 +459,7 @@ class TcpSocket:
         syn: bool = False,
         fin: bool = False,
         ack_flag: bool = True,
-        messages: Optional[list] = None,
+        messages: Sequence[Tuple[int, Any]] = (),
         retransmission: bool = False,
     ) -> None:
         # Runs once per segment sent, so it calls no helpers: the
@@ -514,7 +514,7 @@ class TcpSocket:
             False,                                              # rst
             ack_flag,                                           # ack_flag
             assembler.buffer_size,                              # window
-            messages if messages is not None else [],           # messages
+            messages,                                           # messages
             sack_blocks,                                        # sack
             ece,                                                # ece
             cwr,                                                # cwr

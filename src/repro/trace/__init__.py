@@ -11,13 +11,6 @@ in physical or any clock's virtual time, and diffed pairwise
 Recording is default-off: every hook site is a single ``is None`` check.
 """
 
-from .diff import (
-    DEFAULT_TIME_TOLERANCE,
-    Divergence,
-    TraceDiffResult,
-    diff_traces,
-    summarize_events,
-)
 from .events import (
     PACKET_KINDS,
     TraceEvent,
@@ -26,27 +19,18 @@ from .events import (
     load_jsonl,
     save_jsonl,
 )
-from .pcap import export_pcap, pcap_timestamp, read_pcap
 from .recorder import DEFAULT_CAPACITY, FlightRecorder
 from .spec import TRACE_POINTS, TraceSpec
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "DEFAULT_TIME_TOLERANCE",
-    "Divergence",
     "FlightRecorder",
     "PACKET_KINDS",
     "TRACE_POINTS",
-    "TraceDiffResult",
     "TraceEvent",
     "TraceSpec",
-    "diff_traces",
     "event_from_dict",
     "event_to_dict",
-    "export_pcap",
     "load_jsonl",
-    "pcap_timestamp",
-    "read_pcap",
     "save_jsonl",
-    "summarize_events",
 ]

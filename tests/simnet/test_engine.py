@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -398,6 +400,51 @@ def test_max_events_budget_checked_before_execution():
     with pytest.raises(SchedulingError, match=r"max_events=5 at t="):
         sim.run(max_events=5)
     assert len(rearm) == 5  # the budget itself was fully used
+
+
+def test_run_until_inf_is_no_bound_and_keeps_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1))
+    sim.schedule(5.0, lambda: fired.append(5))
+    sim.run(until=math.inf)
+    assert fired == [1, 5]
+    assert sim.now == 5.0
+    sim.schedule(1.0, lambda: fired.append(6))  # the clock is still usable
+    sim.run(until=math.inf)
+    assert fired == [1, 5, 6] and sim.now == 6.0
+
+
+def test_run_refuses_nan_until_before_running():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, lambda: fired.append(1))
+    with pytest.raises(SchedulingError, match="NaN"):
+        sim.run(until=math.nan)
+    assert fired == [] and sim.now == 0.0 and sim.pending() == 1
+    sim.run()  # the refused call left the simulator runnable
+    assert fired == [1]
+
+
+@pytest.mark.parametrize("budget", [math.nan, 2.5, -1, 3.0, True, "3"])
+def test_run_refuses_a_budget_that_is_not_a_count(budget):
+    sim = Simulator()
+    fired = []
+    for i in range(5):
+        sim.schedule(float(i + 1), lambda i=i: fired.append(i))
+    with pytest.raises(SchedulingError, match="max_events"):
+        sim.run(max_events=budget)
+    assert fired == [] and sim.pending() == 5
+    sim.run(max_events=5)
+    assert fired == [0, 1, 2, 3, 4]
+
+
+def test_run_with_zero_budget_runs_nothing():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SchedulingError, match="max_events=0"):
+        sim.run(max_events=0)
+    assert sim.events_processed == 0
 
 
 def test_peek_time_discards_dead_heads():

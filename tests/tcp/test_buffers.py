@@ -38,13 +38,13 @@ class TestSendBuffer:
         assert buf.markers_in(0, 100) == [(100, "a")]
         assert buf.markers_in(0, 100) == [(100, "a")]
         buf.release_through(100)
-        assert buf.markers_in(0, 100) == []
+        assert buf.markers_in(0, 100) == ()
         assert buf.pending_markers == 0
 
     def test_untagged_writes_have_no_markers(self):
         buf = SendBuffer()
         buf.write(100)
-        assert buf.markers_in(0, 100) == []
+        assert buf.markers_in(0, 100) == ()
 
 
 class TestReceiveAssembler:

@@ -169,7 +169,7 @@ def test_send_buffer_matches_reference(history):
         if operation == "markers_in":
             expected = [(off, msg) for off, msg in written
                         if off > acked and offset < off <= offset + span]
-            assert buf.markers_in(offset, offset + span) == expected
+            assert list(buf.markers_in(offset, offset + span)) == expected
         elif operation == "write":
             write(offset, span)
         else:

@@ -196,9 +196,29 @@ def test_swarm_connection_records_fit_budget(built):
     for connection in connections:
         assert type(connection.remote_have) is int
         assert type(connection.outstanding) is int
-        assert type(connection.interesting) is set
+        assert (connection.interesting is peer_module._NO_PIECES
+                or type(connection.interesting) is set)
     mean = sum(map(connection_record_bytes, connections)) / len(connections)
     assert mean <= CONNECTION_BUDGET_BYTES
+
+
+def test_completed_peers_hold_the_shared_empty_interest_set(monkeypatch):
+    peers = []
+
+    def init(obj, *args, _init=peer_module.Peer.__init__, **kwargs):
+        _init(obj, *args, **kwargs)
+        peers.append(obj)
+
+    monkeypatch.setattr(peer_module.Peer, "__init__", init)
+    result = run_bittorrent(NetworkProfile.from_rtt(mbps(10), ms(10)), 1,
+                            leechers=4, file_bytes=1 << 20,
+                            piece_bytes=65536, seed=2)
+    assert result.completed == 4
+    assert peers and all(peer.complete for peer in peers)
+    connections = [c for peer in peers for c in peer._connections]
+    assert connections
+    for connection in connections:
+        assert connection.interesting is peer_module._NO_PIECES
 
 
 @pytest.mark.parametrize("flavor", ["newreno", "cubic", "vegas", "tahoe"])

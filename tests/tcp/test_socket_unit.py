@@ -242,7 +242,7 @@ def test_emitted_segment_and_packet_fields():
     ack_packet = packets[-1]
     ack = ack_packet.payload
     assert ack.length == 0 and ack.sack == ((11, 31),) and not ack.cwr
-    assert ack.ts_ecr == 0.25 and ack.messages == []
+    assert ack.ts_ecr == 0.25 and ack.messages == ()
     assert ack_packet.size_bytes == IP_HEADER_BYTES + segment_wire_bytes(
         0, 1, True) == IP_HEADER_BYTES + ack.wire_bytes == 62
     assert not ack_packet.ecn_capable
